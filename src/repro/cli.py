@@ -530,19 +530,18 @@ def cmd_pareto(args) -> int:
     exact = payload["exact_runs"]
     print(f"{payload['scene']}/{payload['policy']}: priced "
           f"{payload['grid']['size']} grid points with {exact['total']} "
-          f"exact runs ({payload['exact_fraction']:.1%}: "
-          f"{exact['replay']} replay, {exact['live']} live)")
+          f"exact runs ({payload['exact_fraction']:.1%})")
     heldout = err["policy_final_heldout"].get("cycles", 0.0)
     print(f"held-out cycle error {heldout:.1%}, frontier verification max "
           f"{err['frontier_verification']['max']:.1%} "
           f"(bound {err['bound']:.0%} "
           + ("met)" if err["bound_met"] else "NOT met)"))
     print(f"{'cache':>12s} {'queue':>7s} {'cycles':>14s} "
-          f"{'speedup':>8s} {'vs ref':>7s} {'kind':>6s}")
+          f"{'speedup':>8s} {'vs ref':>7s}")
     for row in payload["frontier"]:
         print(f"{row['cache']:12,.0f} {row['queue']:7g} "
               f"{row['cycles']:14,.0f} {row['speedup']:7.2f}x "
-              f"{row['speedup_vs_ref']:6.2f}x {row['kind']:>6s}")
+              f"{row['speedup_vs_ref']:6.2f}x")
     print(f"wrote {out} and {svg}")
     if args.manifest:
         _write_run_manifest(
@@ -595,15 +594,11 @@ def cmd_submit(args) -> int:
                 print("submit needs a SCENE or --figure NAME", file=sys.stderr)
                 return 2
             from repro.experiments.parallel import CaseSpec
-            from repro.memtrace import normalize_overrides
+            from repro.experiments.runner import normalize_overrides
 
             overrides = normalize_overrides(_parse_overrides(args.set)) or None
             specs = [CaseSpec(args.scene.upper(), args.policy,
                               gpu_overrides=overrides)]
-        if args.replay and args.pareto:
-            print("--replay and --pareto are mutually exclusive",
-                  file=sys.stderr)
-            return 2
         params = None
         if args.params is not None:
             if not args.pareto:
@@ -612,9 +607,7 @@ def cmd_submit(args) -> int:
             import json as json_mod
 
             params = json_mod.loads(args.params)
-        kind = "pareto" if args.pareto else (
-            "replay" if args.replay else "case"
-        )
+        kind = "pareto" if args.pareto else "case"
         job_ids = []
         if args.batch:
             # One round trip for the whole list; admission is per item.
@@ -1083,10 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-item admission outcomes (best with --figure)")
     p.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
                    help="GPUConfig override for this case (repeatable)")
-    p.add_argument("--replay", action="store_true",
-                   help="submit as a replay job: the server admits it only "
-                        "if (policy, --set overrides) is replay-eligible, "
-                        "then serves it from a recorded memory trace")
     p.add_argument("--pareto", action="store_true",
                    help="submit as a pareto job: the server runs a whole "
                         "surrogate-priced frontier sweep for SCENE/--policy "

@@ -68,8 +68,7 @@ class CaseSpec:
     vtq: Optional[VTQConfig] = None
     # Name-sorted ((field, value), ...) GPUConfig deltas for this point —
     # the hashable form of run_case's gpu_overrides (see
-    # repro.memtrace.safety.normalize_overrides).  Replay-safe deltas let
-    # the runner serve the point from a recorded memory trace.
+    # repro.experiments.runner.normalize_overrides).
     gpu_overrides: Optional[Tuple[Tuple[str, object], ...]] = None
 
     def label(self) -> str:

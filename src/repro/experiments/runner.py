@@ -40,14 +40,14 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import time
 
 from repro import faults
 from repro.bvh import build_scene_bvh
 from repro.core.config import VTQConfig
-from repro.errors import BudgetExceeded, CacheError, ReproError, SimulationError, TraceError
+from repro.errors import BudgetExceeded, CacheError, ReproError, SimulationError
 from repro.gpusim.budget import CaseBudget, budget_from_env, wall_clock_watchdog
 from repro.gpusim.config import GPUConfig, ScaledSetup, default_setup
 from repro.gpusim.energy import EnergyModel
@@ -183,8 +183,6 @@ def case_key_for(
     any input change that would invalidate the cache also invalidates
     the journal entry.
     """
-    from repro.memtrace.safety import normalize_overrides
-
     overrides = dict(normalize_overrides(gpu_overrides))
     point = _point_context(context, overrides)
     return _case_key(scene, policy, point.setup, vtq)
@@ -353,14 +351,18 @@ def _try_read_cache(cache_path: Path, key: str, case_label: str) -> Optional[Dic
     return metrics
 
 
-def _memtrace_sweeps_enabled() -> bool:
-    """Replay substitution for replay-safe sweep points (default on)."""
-    return os.environ.get("REPRO_MEMTRACE_SWEEPS", "1") != "0"
+def normalize_overrides(overrides) -> Tuple[Tuple[str, object], ...]:
+    """Canonical hashable form: a name-sorted tuple of (field, value) pairs.
 
-
-def _memtrace_capture_enabled() -> bool:
-    """``REPRO_MEMTRACE=1``: record live runs into the trace store."""
-    return os.environ.get("REPRO_MEMTRACE", "0") not in ("", "0")
+    Accepts a mapping, an iterable of pairs, or ``None``.
+    """
+    if not overrides:
+        return ()
+    if isinstance(overrides, Mapping):
+        items = overrides.items()
+    else:
+        items = list(overrides)
+    return tuple(sorted((str(name), value) for name, value in items))
 
 
 def _point_context(
@@ -395,24 +397,18 @@ def run_case(
     :class:`~repro.gpusim.config.GPUConfig` deltas on top of the context
     for this point.  The cache key is computed from the *overridden*
     setup, so the result is interchangeable with a run whose context
-    carried those values directly.  When every override is replay-safe
-    (see :mod:`repro.memtrace.safety`) and ``REPRO_MEMTRACE_SWEEPS`` is
-    not ``0``, the point is served by replaying the group's recorded
-    memory trace instead of a fresh live simulation — same metric dict,
-    a fraction of the wall time.
+    carried those values directly.  Every point runs live under the
+    case's budget and sanitizer; points that keep the BVH (everything
+    but ``l1_bytes``/``line_bytes``) share the scene's cached render
+    plan, so an override sweep pays one plan build per scene.
     """
-    from repro.memtrace.safety import normalize_overrides
-
     overrides = dict(normalize_overrides(gpu_overrides))
     point = _point_context(context, overrides)
     key = _case_key(scene_name, policy, point.setup, vtq)
     case_label = f"{scene_name}:{policy}"
     start = time.perf_counter()
     if not point.use_disk_cache:
-        metrics = _compute_case(
-            scene_name, policy, point, vtq, case_label,
-            base_context=context, overrides=overrides,
-        )
+        metrics = _compute_case(scene_name, policy, point, vtq, case_label)
         _observe_case(scene_name, policy, "nocache", time.perf_counter() - start)
         return metrics
     cache_path = cache_dir() / f"{key}.json"
@@ -426,10 +422,7 @@ def run_case(
         if metrics is not None:
             _observe_case(scene_name, policy, "hit", time.perf_counter() - start)
             return metrics
-        metrics = _compute_case(
-            scene_name, policy, point, vtq, case_label,
-            base_context=context, overrides=overrides,
-        )
+        metrics = _compute_case(scene_name, policy, point, vtq, case_label)
         _trace_cache("COMPUTE", key)
         _write_cache_entry(cache_path, key, metrics)
         spec = faults.should_fire(faults.CACHE_CORRUPT, case_label)
@@ -449,17 +442,12 @@ def _compute_case(
     context: ExperimentContext,
     vtq: Optional[VTQConfig],
     case_label: str,
-    base_context: Optional[ExperimentContext] = None,
-    overrides: Optional[Dict] = None,
 ) -> Dict:
-    """Simulate (or replay) one case under its budget; returns metrics.
+    """Simulate one case under its budget; returns metrics.
 
-    ``context`` already carries any GPU overrides.  ``base_context`` is
-    the pre-override context; together with ``overrides`` it lets a
-    replay-safe point be served from the group's recorded trace.
+    ``context`` already carries any GPU overrides.
     """
     setup = context.setup
-    overrides = overrides or {}
     try:
         spec = faults.should_fire(faults.CASE_FAIL, case_label)
         if spec is not None:
@@ -467,30 +455,15 @@ def _compute_case(
                 spec.payload.get("message", f"injected failure for case {case_label}")
             )
 
-        if overrides and base_context is not None and _memtrace_sweeps_enabled():
-            metrics = _try_replay_case(
-                scene_name, policy, setup, vtq, base_context, overrides, case_label
-            )
-            if metrics is not None:
-                return metrics
-
         budget = context.case_budget()
         wall = budget.wall_seconds if budget else None
         cycles = budget.max_cycles if budget else None
         with wall_clock_watchdog(wall, describe=case_label):
             scene, bvh = scene_and_bvh(scene_name, setup)
-            recorder = _maybe_recorder(policy)
-            render_start = time.perf_counter()
             result = render_scene(
                 scene, bvh, setup, policy=policy, vtq_config=vtq,
                 cycle_budget=cycles, sanitize=context.sanitize,
-                trace_recorder=recorder,
             )
-            if recorder is not None:
-                _store_recording(
-                    recorder, scene_name, setup, vtq, bvh, result,
-                    time.perf_counter() - render_start, case_label,
-                )
     except ReproError as exc:
         # Annotate so quarantining callers know which case blew up.
         exc.scene = scene_name
@@ -500,64 +473,6 @@ def _compute_case(
     metrics["scene"] = scene_name
     metrics["policy"] = policy
     return metrics
-
-
-def _try_replay_case(
-    scene_name: str,
-    policy: str,
-    setup: ScaledSetup,
-    vtq: Optional[VTQConfig],
-    base_context: ExperimentContext,
-    overrides: Dict,
-    case_label: str,
-) -> Optional[Dict]:
-    """Serve a replay-safe sweep point from its group's memory trace.
-
-    Returns ``None`` (caller falls back to a live simulation) when the
-    point is not replay-eligible or anything about the trace path fails —
-    replay substitution is an accelerator, never a correctness risk.
-    """
-    from repro.memtrace import ensure_trace, overrides_replay_safe, replay_trace
-
-    if not overrides_replay_safe(policy, overrides):
-        return None
-    try:
-        trace = ensure_trace(scene_name, policy, base_context, vtq)
-        result = replay_trace(trace, overrides)
-    except TraceError as exc:
-        logger.warning("replay substitution failed for %s: %s", case_label, exc)
-        return None
-    metrics = extract_metrics(result, setup)
-    metrics["scene"] = scene_name
-    metrics["policy"] = policy
-    return metrics
-
-
-def _maybe_recorder(policy: str):
-    """A budgeted TraceRecorder when ``REPRO_MEMTRACE`` capture is on."""
-    if not _memtrace_capture_enabled():
-        return None
-    from repro.memtrace import RECORDABLE_POLICIES, TraceRecorder, trace_budget_bytes
-
-    if policy not in RECORDABLE_POLICIES:
-        return None
-    return TraceRecorder(policy, budget_bytes=trace_budget_bytes())
-
-
-def _store_recording(
-    recorder, scene_name, setup, vtq, bvh, result, wall_s, case_label
-) -> None:
-    """Finish and store a live capture; failures log, never break the case."""
-    from repro.memtrace import store_trace, trace_key
-
-    try:
-        trace = recorder.finish(
-            scene_name=scene_name, setup=setup, vtq=vtq, bvh=bvh,
-            result=result, record_wall_s=wall_s,
-        )
-        store_trace(trace, trace_key(scene_name, policy=trace.policy, setup=setup, vtq=vtq))
-    except TraceError as exc:
-        logger.warning("memory-trace capture of %s not kept: %s", case_label, exc)
 
 
 def run_case_quarantined(

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import VTQConfig
 from repro.experiments.runner import ExperimentContext, run_case, scene_and_bvh
-from repro.gpusim.config import ScaledSetup
 from repro.gpusim.stats import TraversalMode
 from repro.tracing import render_scene
 
@@ -86,58 +85,24 @@ def sweep_gpu_param(
     """Sweep one :class:`GPUConfig` field on one scene.
 
     Each point re-renders the baseline too (the baseline changes with the
-    GPU), so the speedup column stays meaningful.
-
-    The axis is classified for replay safety
-    (:func:`repro.memtrace.safety.classify_axis`): a **replay-safe** axis
-    (cache geometry, latencies, DRAM timing — anything that only changes
-    what memory transactions *cost*) routes through
+    GPU), so the speedup column stays meaningful.  Every point is one
     :func:`~repro.experiments.runner.run_case` with per-point GPU
-    overrides, where each policy's points are served by replaying one
-    recorded memory trace.  A **replay-unsafe** axis (anything that
-    changes the access stream itself) runs every point live, exactly as
-    before.
+    overrides, so it is cached, budgeted and sanitized like any case,
+    and an axis that changes the BVH (``l1_bytes`` sets the treelet
+    budget) renders on the BVH built for that point.
     """
-    setup = context.setup
-    if not hasattr(setup.gpu, param):
+    if not hasattr(context.setup.gpu, param):
         raise ValueError(f"GPUConfig has no field {param!r}")
-    from repro.memtrace import classify_axis
-
-    if classify_axis(param) == "replay-safe":
-        rows = []
-        for value in values:
-            overrides = ((param, value),)
-            base = run_case(
-                scene_name, "baseline", context, gpu_overrides=overrides
-            )
-            m = (
-                base
-                if policy == "baseline"
-                else run_case(scene_name, policy, context, gpu_overrides=overrides)
-            )
-            rows.append(_metrics_row_from_dict(str(value), base["cycles"], m))
-        return {
-            "title": f"GPU sweep on {scene_name}: {param} in {list(values)} "
-            f"(policy {policy})",
-            "headers": _HEADERS,
-            "rows": rows,
-        }
-
-    scene, bvh = scene_and_bvh(scene_name, setup)
     rows = []
     for value in values:
-        gpu = replace(setup.gpu, **{param: value})
-        point = ScaledSetup(
-            gpu=gpu,
-            image_width=setup.image_width,
-            image_height=setup.image_height,
-            scene_scale=setup.scene_scale,
-            max_bounces=setup.max_bounces,
-            samples_per_pixel=setup.samples_per_pixel,
+        overrides = ((param, value),)
+        base = run_case(scene_name, "baseline", context, gpu_overrides=overrides)
+        m = (
+            base
+            if policy == "baseline"
+            else run_case(scene_name, policy, context, gpu_overrides=overrides)
         )
-        baseline = render_scene(scene, bvh, point, policy="baseline")
-        result = render_scene(scene, bvh, point, policy=policy)
-        rows.append(_metrics_row(str(value), baseline.cycles, result))
+        rows.append(_metrics_row_from_dict(str(value), base["cycles"], m))
     return {
         "title": f"GPU sweep on {scene_name}: {param} in {list(values)} "
         f"(policy {policy})",

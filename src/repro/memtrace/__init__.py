@@ -1,9 +1,11 @@
-"""repro.memtrace — memory-trace capture & replay for fast cache sweeps.
+"""repro.memtrace — memory-trace capture & replay.
 
 Record the memory transaction stream of one live render, then re-price
 it through freshly configured L1/L2/DRAM models to get full ``SimStats``
 for any memory-hierarchy-only configuration without re-running
-traversal.  See ``docs/MEMTRACE.md`` for the format, the replay-safety
+traversal.  It backs the ``repro trace`` verbs and is the oracle the
+tests hold live GPU-override sweep points to; sweeps themselves run
+live.  See ``docs/MEMTRACE.md`` for the format, the replay-safety
 classification and the store layout.
 """
 
@@ -25,9 +27,7 @@ from repro.memtrace.safety import (
     REPLAY_SAFE_GPU_FIELDS,
     classify_axis,
     ensure_replayable,
-    normalize_overrides,
     overrides_replay_safe,
-    sweep_point_kind,
 )
 from repro.memtrace.store import (
     ensure_trace,
@@ -53,9 +53,7 @@ __all__ = [
     "REPLAY_SAFE_GPU_FIELDS",
     "classify_axis",
     "ensure_replayable",
-    "normalize_overrides",
     "overrides_replay_safe",
-    "sweep_point_kind",
     "ensure_trace",
     "record_trace",
     "store_trace",

@@ -5,8 +5,8 @@ runner`): traces live under one directory keyed by a hash of everything
 that determines the recorded stream (scene, policy, full GPU config,
 image dimensions, VTQ overrides), writes are atomic, readers verify the
 embedded checksum and a defective file is logged, deleted and
-re-recorded — never trusted, never fatal.  Concurrent sweep workers
-racing to record the same trace serialize on a per-key ``flock`` claim.
+re-recorded — never trusted, never fatal.  Concurrent processes racing
+to record the same trace serialize on a per-key ``flock`` claim.
 
 ``REPRO_TRACE_DIR`` overrides the store location; otherwise traces sit
 next to the experiment cache (``REPRO_CACHE_DIR``-relative when that is
@@ -181,9 +181,8 @@ def record_trace(
 def ensure_trace(scene_name: str, policy: str, context, vtq=None) -> MemTrace:
     """Fetch the stored trace for a case, recording it live if absent.
 
-    The live recording run is the "one live sim" a replay-safe sweep
-    group pays; every other point in the group replays.  Concurrent
-    workers serialize on a per-key claim so the group records once.
+    Concurrent callers serialize on a per-key claim, so a key is
+    recorded once.
     """
     from repro.experiments.runner import scene_and_bvh
 

@@ -43,13 +43,24 @@ CANCELLED = "cancelled"
 STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
-# ``case`` jobs may run live or replay-substitute as the runner sees fit;
-# ``replay`` jobs are admission-checked to be replay-eligible up front
-# (cross-config-safe policy, replay-safe GPU overrides) so a client can
-# rely on the cheap path.  ``pareto`` jobs run a whole surrogate-priced
-# frontier sweep (``repro.surrogate.run_pareto``) for the spec's
-# scene/policy; the grid and budget live in ``Job.params``.
-KINDS = ("case", "replay", "pareto")
+# ``case`` jobs run one case (with any GPU overrides) through
+# ``run_case``.  ``pareto`` jobs run a whole surrogate-priced frontier
+# sweep (``repro.surrogate.run_pareto``) for the spec's scene/policy; the
+# grid and budget live in ``Job.params``.
+KINDS = ("case", "pareto")
+
+# Retired kinds that older clients and spool records still carry, and
+# the kind each runs as.
+KIND_ALIASES = {"replay": "case"}
+
+
+def canonical_kind(kind) -> str:
+    """The job kind ``kind`` runs as (default ``case``); raises on unknown."""
+    kind = str(kind or KINDS[0])
+    kind = KIND_ALIASES.get(kind, kind)
+    if kind not in KINDS:
+        raise ServiceError(f"unknown job kind {kind!r}; expected one of {KINDS}")
+    return kind
 
 
 def spec_to_dict(spec: CaseSpec) -> Dict:
@@ -88,8 +99,7 @@ class Job:
     job_id: str
     client_id: str
     spec: CaseSpec
-    # "case" (run live or replay-substituted) or "replay" (admission
-    # guarantees the spec is replay-eligible; see KINDS).
+    # "case" or "pareto" (see KINDS).
     kind: str = "case"
     priority: int = 0
     # Wall-clock seconds from submission the job may take, end to end;
@@ -105,7 +115,7 @@ class Job:
     dispatch_index: Optional[int] = None
     # Kind-specific knobs: for ``pareto`` jobs, keyword arguments for
     # ``run_pareto`` (grid axes/values, error bound, budget, seed, ...)
-    # validated at admission; ``None`` for plain case/replay jobs.
+    # validated at admission; ``None`` for plain case jobs.
     params: Optional[Dict] = None
     result: Optional[Dict] = None
     error: Optional[Dict] = None
@@ -158,8 +168,7 @@ class Job:
             raise ServiceError(f"unusable job record: {exc}") from exc
         if job.state not in STATES:
             raise ServiceError(f"job {job.job_id} has unknown state {job.state!r}")
-        if job.kind not in KINDS:
-            raise ServiceError(f"job {job.job_id} has unknown kind {job.kind!r}")
+        job.kind = canonical_kind(job.kind)
         return job
 
 
@@ -175,8 +184,7 @@ def new_job(
     """A fresh ``queued`` job with a unique id, stamped now."""
     if deadline_s is not None and deadline_s <= 0:
         raise ServiceError("deadline_s must be positive when set")
-    if kind not in KINDS:
-        raise ServiceError(f"unknown job kind {kind!r}; expected one of {KINDS}")
+    kind = canonical_kind(kind)
     if params is not None and kind != "pareto":
         raise ServiceError("params is only valid for pareto jobs")
     return Job(

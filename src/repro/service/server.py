@@ -375,13 +375,9 @@ class SimulationServer:
             raise ServiceError(
                 f"unknown policy {spec.policy!r}; expected one of {POLICIES}"
             )
-        kind = str(request.get("kind") or jobstates.KINDS[0])
-        if kind not in jobstates.KINDS:
-            raise ServiceError(
-                f"unknown job kind {kind!r}; expected one of {jobstates.KINDS}"
-            )
-        if kind == "replay":
-            self._check_replay_job(spec)
+        # Normalised before the dedupe key: a legacy "replay" submission
+        # and the equivalent "case" share one result.
+        kind = jobstates.canonical_kind(request.get("kind"))
         params = request.get("params")
         if kind == "pareto":
             params = self._check_pareto_job(spec, params)
@@ -518,26 +514,6 @@ class SimulationServer:
             scene=str(scene), node_id=node.node_id, endpoint=node.endpoint
         )
 
-    @staticmethod
-    def _check_replay_job(spec) -> None:
-        """Replay jobs must be replay-eligible at admission, not at run
-        time — the client asked for the cheap path and should hear "no"
-        synchronously, not via a failed job record."""
-        from repro.memtrace import CROSS_CONFIG_POLICIES, overrides_replay_safe
-
-        if not spec.gpu_overrides:
-            raise ServiceError(
-                "replay jobs need gpu_overrides (a plain case job "
-                "already runs at the recorded configuration)"
-            )
-        if not overrides_replay_safe(spec.policy, dict(spec.gpu_overrides)):
-            raise ServiceError(
-                f"spec {spec.label()!r} is not replay-eligible: policy must "
-                f"be one of {CROSS_CONFIG_POLICIES} and every override "
-                "replay-safe (see docs/MEMTRACE.md); submit it as a plain "
-                "case job to run live"
-            )
-
     # Keyword arguments a pareto job may forward to ``run_pareto``.
     # ``jobs`` is deliberately absent: the sweep runs serially inside its
     # worker slot rather than nesting a second process pool.
@@ -552,9 +528,8 @@ class SimulationServer:
     def _check_pareto_job(cls, spec, params) -> Dict:
         """Validate a pareto job's sweep parameters at admission.
 
-        Like replay eligibility, a bad grid axis or an impossible budget
-        should be a synchronous "no" at submit time, not a failed job
-        record minutes later."""
+        A bad grid axis or an impossible budget should be a synchronous
+        "no" at submit time, not a failed job record minutes later."""
         from repro.surrogate import SurrogateError, axis_kind
 
         if spec.gpu_overrides or spec.vtq is not None:

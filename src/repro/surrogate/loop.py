@@ -8,9 +8,8 @@ The discipline is the standard one for sampling a slow simulator:
    *frontier-critical* points the caller nominates (predicted Pareto
    members that have never been run exactly), then the points where the
    ensemble disagrees most.
-3. **Refine** — run those K points *exactly* (memtrace replay when the
-   point is replay-safe, a live SoA run otherwise, through the existing
-   :func:`repro.experiments.parallel.run_cases` supervised pool),
+3. **Refine** — run those K points *exactly* (live runs through the
+   existing :func:`repro.experiments.parallel.run_cases` supervised pool),
    score the predictions made **before** the runs against the exact
    results, fold the new points in, and repeat.
 
@@ -25,7 +24,7 @@ verification record.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,14 +49,13 @@ logger = logging.getLogger("repro.surrogate")
 PRIMARY_FIELD = "cycles"
 
 
-def _count_exact(kind: str, n: int = 1) -> None:
+def _count_exact(n: int = 1) -> None:
     if n <= 0:
         return
     obs_registry().counter(
         "repro_surrogate_exact_checks_total",
-        "Exact spot-check runs issued by the surrogate loop, by path",
-        ("kind",),
-    ).labels(kind=kind).inc(n)
+        "Exact spot-check runs issued by the surrogate loop",
+    ).labels().inc(n)
 
 
 def _count_predictions(n: int) -> None:
@@ -74,11 +72,7 @@ class ExactLedger:
     """Budget accounting for every exact run a surrogate sweep issues."""
 
     limit: Optional[int] = None
-    by_kind: Dict[str, int] = field(default_factory=lambda: {"replay": 0, "live": 0})
-
-    @property
-    def total(self) -> int:
-        return sum(self.by_kind.values())
+    total: int = 0
 
     def remaining(self) -> Optional[int]:
         return None if self.limit is None else max(0, self.limit - self.total)
@@ -86,17 +80,12 @@ class ExactLedger:
     def can_spend(self, n: int = 1) -> bool:
         return self.limit is None or self.total + n <= self.limit
 
-    def record(self, kind: str, n: int = 1) -> None:
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + n
-        _count_exact(kind, n)
+    def record(self, n: int = 1) -> None:
+        self.total += n
+        _count_exact(n)
 
     def as_dict(self) -> Dict:
-        return {
-            "replay": self.by_kind.get("replay", 0),
-            "live": self.by_kind.get("live", 0),
-            "total": self.total,
-            "limit": self.limit,
-        }
+        return {"total": self.total, "limit": self.limit}
 
 
 class ExactRunner:
@@ -116,15 +105,6 @@ class ExactRunner:
         self.ledger = ledger
         self.jobs = jobs
         self._memo: Dict[GridPoint, Dict] = {}
-
-    def point_kind(self, point: GridPoint) -> str:
-        """``"replay"`` when the exact run can be served from a recorded
-        memory trace, ``"live"`` otherwise (see repro.memtrace.safety)."""
-        from repro.memtrace import sweep_point_kind
-
-        return sweep_point_kind(
-            self.policy, dict(point.gpu_overrides), dict(point.vtq_overrides)
-        )
 
     def _spec(self, point: GridPoint):
         from repro.experiments.parallel import CaseSpec
@@ -181,7 +161,7 @@ class ExactRunner:
                     f"{failure.message if failure else ''}"
                 )
             self._memo[point] = metrics
-            self.ledger.record(self.point_kind(point))
+            self.ledger.record()
         return {p: self._memo[p] for p in points}
 
 

@@ -47,6 +47,28 @@ class TestGPUSweep:
         with pytest.raises(ValueError):
             sweep_gpu_param("WKND", ctx, "bogus", (1,))
 
+    @pytest.mark.parametrize("param, values", [
+        ("l1_bytes", (4096, 32768)),
+        ("l2_bytes", (8192, 65536)),
+    ])
+    def test_rows_match_run_cases(self, ctx, param, values):
+        """Each row is priced exactly as the case runner prices that
+        override point, including l1_bytes points, which rebuild the BVH
+        for their own treelet budget."""
+        from repro.experiments.parallel import gpu_sweep_cases, run_cases
+        from repro.experiments.sweeps import _metrics_row_from_dict
+
+        def point_metrics(policy):
+            specs = gpu_sweep_cases("BUNNY", policy, param, values)
+            return [m for m, _failure in run_cases(specs, ctx, jobs=0)]
+
+        table = sweep_gpu_param("BUNNY", ctx, param, values, policy="vtq")
+        base, vtq = point_metrics("baseline"), point_metrics("vtq")
+        assert table["rows"] == [
+            _metrics_row_from_dict(str(value), b["cycles"], m)
+            for value, b, m in zip(values, base, vtq)
+        ]
+
     def test_bigger_l1_not_slower(self, ctx):
         out = sweep_gpu_param("WKND", ctx, "l1_bytes", (512, 8192),
                               policy="baseline")

@@ -23,6 +23,8 @@ from repro.errors import TraceBudgetExceeded, TraceError
 from repro.experiments import default_context
 from repro.experiments.runner import (
     ExperimentContext,
+    extract_metrics,
+    normalize_overrides,
     run_case,
     scene_and_bvh,
 )
@@ -31,10 +33,10 @@ from repro.memtrace import (
     classify_axis,
     ensure_trace,
     load_trace,
-    normalize_overrides,
     overrides_replay_safe,
     replay_trace,
     save_trace,
+    trace_dir,
     trace_file_info,
     trace_path,
     try_load_trace,
@@ -271,8 +273,31 @@ class TestTraceFileInfo:
         assert trace_file_info(path)["kind"] == "unknown"
 
 
+#: Replay-safe override points the oracle checks run_case at: each
+#: memory-cost axis alone, then L2 size and DRAM latency as one grid point.
+ORACLE_POINTS = (
+    (("l2_bytes", 4 * 1024 * 1024),),
+    (("dram_latency", 700),),
+    (("gaussian_alpha_cycles", 16),),
+    (("dram_latency", 300), ("l2_bytes", 256 * 1024)),
+)
+
+
+def _oracle_metrics(trace, setup, scene_name, policy, overrides):
+    """The metric dict a replay of ``trace`` at ``overrides`` yields."""
+    metrics = extract_metrics(
+        replay_trace(trace, overrides), _override_setup(setup, overrides)
+    )
+    metrics["scene"] = scene_name
+    metrics["policy"] = policy
+    return metrics
+
+
 class TestSweepIntegration:
-    """Replay-substituted sweeps must be indistinguishable from live ones."""
+    """Memory traces are the oracle for live override points: a
+    ``run_case`` at a replay-safe override must equal a replay of the
+    base-configuration trace at that override, and sweeps never touch
+    the trace store."""
 
     @pytest.fixture
     def cached(self, ctx, tmp_path, monkeypatch):
@@ -284,51 +309,60 @@ class TestSweepIntegration:
             setup=ctx.setup, scene_list=ctx.scene_list, use_disk_cache=True
         )
 
-    def test_run_case_replay_matches_live(self, cached, monkeypatch):
-        overrides = (("l2_bytes", 4 * 1024 * 1024),)
-        replayed = run_case(
-            "BUNNY", "prefetch", cached, gpu_overrides=overrides
-        )
-        monkeypatch.setenv("REPRO_MEMTRACE_SWEEPS", "0")
-        from repro.experiments import runner
+    def test_run_case_replay_matches_live(self, cached):
+        for scene_name in ("BUNNY", "GSPL1"):
+            scene, bvh = scene_and_bvh(scene_name, cached.setup)
+            for policy in ("baseline", "prefetch"):
+                trace, _live = record_trace(
+                    scene, bvh, cached.setup, policy, scene_name=scene_name
+                )
+                for overrides in ORACLE_POINTS:
+                    live = run_case(
+                        scene_name, policy, cached, gpu_overrides=overrides
+                    )
+                    oracle = _oracle_metrics(
+                        trace, cached.setup, scene_name, policy, overrides
+                    )
+                    # Exact dict equality: same keys, same values.
+                    assert live == oracle, (scene_name, policy, overrides)
 
-        monkeypatch.setattr(
-            runner, "_CACHE_DIR", runner._CACHE_DIR / "live-only"
-        )
-        live = run_case("BUNNY", "prefetch", cached, gpu_overrides=overrides)
-        # Exact dict equality: same keys, same values — a replayed case
-        # is interchangeable with a live one everywhere downstream.
-        assert replayed == live
-
-    def test_sweep_gpu_param_tables_match(self, cached, monkeypatch):
-        from repro.experiments.sweeps import sweep_gpu_param
+    def test_sweep_gpu_param_tables_match(self, cached):
+        from repro.experiments.sweeps import _metrics_row_from_dict, sweep_gpu_param
 
         values = [1 * 1024 * 1024, 4 * 1024 * 1024]
-        with_replay = sweep_gpu_param(
-            "BUNNY", cached, "l2_bytes", values, policy="prefetch"
-        )
-        monkeypatch.setenv("REPRO_MEMTRACE_SWEEPS", "0")
-        from repro.experiments import runner
-
-        monkeypatch.setattr(
-            runner, "_CACHE_DIR", runner._CACHE_DIR / "live-only"
-        )
-        all_live = sweep_gpu_param(
-            "BUNNY", cached, "l2_bytes", values, policy="prefetch"
-        )
-        assert with_replay == all_live
-
-    def test_unsafe_axis_sweeps_live(self, cached):
-        from repro.experiments.sweeps import sweep_gpu_param
-
         table = sweep_gpu_param(
-            "BUNNY", cached, "l1_bytes", [8192, 16384], policy="baseline"
+            "BUNNY", cached, "l2_bytes", values, policy="prefetch"
         )
-        assert len(table["rows"]) == 2
-        # No trace was recorded for an unsafe axis.
-        from repro.memtrace import trace_dir
+        scene, bvh = scene_and_bvh("BUNNY", cached.setup)
+        traces = {
+            policy: record_trace(
+                scene, bvh, cached.setup, policy, scene_name="BUNNY"
+            )[0]
+            for policy in ("baseline", "prefetch")
+        }
+        rows = []
+        for value in values:
+            overrides = (("l2_bytes", value),)
+            oracle = {
+                policy: _oracle_metrics(
+                    trace, cached.setup, "BUNNY", policy, overrides
+                )
+                for policy, trace in traces.items()
+            }
+            rows.append(_metrics_row_from_dict(
+                str(value), oracle["baseline"]["cycles"], oracle["prefetch"]
+            ))
+        assert table["rows"] == rows
 
-        assert not list(trace_dir().glob("*.memtrace"))
+    def test_override_sweeps_record_no_trace(self, cached):
+        from repro.experiments.parallel import gpu_sweep_cases, run_cases
+
+        specs = gpu_sweep_cases("BUNNY", "prefetch", "l2_bytes", [1 << 20])
+        specs += gpu_sweep_cases("BUNNY", "baseline", "l1_bytes", [8192])
+        results = run_cases(specs, cached, jobs=0)
+        assert all(failure is None for _m, failure in results)
+        directory = trace_dir()
+        assert not directory.exists() or not any(directory.iterdir())
 
     def test_gpu_sweep_cases_through_run_cases(self, cached):
         from repro.experiments.parallel import gpu_sweep_cases, run_cases

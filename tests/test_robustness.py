@@ -53,6 +53,16 @@ def ctx():
 
 
 @pytest.fixture
+def stored_trace(ctx, tmp_path, monkeypatch):
+    """A stored (BUNNY, baseline) memory trace at the base configuration:
+    what a replay path would need to serve an override point."""
+    from repro.memtrace import ensure_trace
+
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    return ensure_trace("BUNNY", "baseline", ctx)
+
+
+@pytest.fixture
 def cached_ctx(ctx, tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_CACHE_DIR", tmp_path)
     return ExperimentContext(
@@ -177,6 +187,25 @@ class TestBudgets:
         with faults.injected(FaultSpec(site=faults.SIM_STALL)):
             with pytest.raises(BudgetExceeded):
                 run_case("BUNNY", "vtq", generous)
+
+    def test_override_points_run_under_the_budget(self, ctx, stored_trace):
+        """A GPU-override point is budgeted like any case: a stored memory
+        trace for its (scene, policy) group must not let it skip the
+        watchdogs."""
+        tight = ExperimentContext(
+            setup=ctx.setup, scene_list=ctx.scene_list,
+            use_disk_cache=False, budget=CaseBudget(max_cycles=1.0),
+        )
+        for policy, overrides in (
+            ("baseline", None),
+            ("baseline", (("dram_latency", 400),)),
+            ("vtq", (("dram_latency", 400),)),
+        ):
+            metrics, failure = run_case_quarantined(
+                "BUNNY", policy, tight, gpu_overrides=overrides
+            )
+            assert metrics is None, (policy, overrides)
+            assert failure.error_type == "BudgetExceeded"
 
     def test_wall_clock_watchdog_trips(self):
         with pytest.raises(BudgetExceeded) as excinfo:
@@ -346,6 +375,20 @@ class TestSanitizer:
             with pytest.raises(SanitizerError) as excinfo:
                 render_scene(scene, bvh, ctx.setup, policy="vtq", sanitize=True)
         assert any(needle in v for v in excinfo.value.violations)
+
+    def test_override_points_are_sanitized(self, ctx, stored_trace):
+        """Likewise a stored trace must not let an override point skip
+        the post-render checks."""
+        checked = ExperimentContext(
+            setup=ctx.setup, scene_list=ctx.scene_list,
+            use_disk_cache=False, sanitize=True,
+        )
+        with faults.injected(
+            FaultSpec(site=faults.STATS_CORRUPT, payload={"invariant": "rays"})
+        ):
+            with pytest.raises(SanitizerError):
+                run_case("BUNNY", "baseline", checked,
+                         gpu_overrides=(("dram_latency", 400),))
 
     def test_env_var_enables_sanitizer(self, ctx, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

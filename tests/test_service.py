@@ -50,6 +50,14 @@ class TestJobRecords:
         with pytest.raises(ServiceError, match="state"):
             Job.from_record(record)
 
+    def test_legacy_replay_kind_loads_as_case(self):
+        record = make_job().to_record()
+        record["kind"] = "replay"
+        assert Job.from_record(record).kind == "case"
+        record["kind"] = "bogus"
+        with pytest.raises(ServiceError, match="kind"):
+            Job.from_record(record)
+
     def test_negative_deadline_rejected(self):
         with pytest.raises(ServiceError, match="deadline"):
             make_job(deadline_s=-1.0)

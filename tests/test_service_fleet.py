@@ -79,10 +79,9 @@ class TestResultCache:
             result_key("case", spec, ctx),
             result_key("case", CaseSpec("SPNZA", "baseline"), ctx),
             result_key("case", CaseSpec("BUNNY", "vtq"), ctx),
-            result_key("replay", spec, ctx),
             result_key("pareto", spec, ctx, params={"budget_axis": [1.0]}),
         }
-        assert len(distinct) == 5
+        assert len(distinct) == 4
 
     def test_env_gate_disables_lookup_and_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_DEDUPE", "0")
@@ -398,6 +397,27 @@ class TestFleetEndToEnd:
             third = client.submit("BUNNY", "vtq")
             assert client.wait([third], timeout=120)[0]["deduped"] is False
             assert client.health()["dispatched"] == 2
+
+    def test_legacy_replay_kind_is_a_case_alias(self, tmp_path):
+        """Old clients' ``kind="replay"`` submissions run as plain case
+        jobs, on any policy, and dedupe against the same case."""
+        overrides = (("l2_bytes", 65536),)
+        with ServerHarness(spool=tmp_path / "spool") as harness:
+            client = harness.client()
+            first = client.submit(
+                "BUNNY", "vtq", kind="replay", gpu_overrides=overrides
+            )
+            original = client.wait([first], timeout=120)[0]
+            assert original["state"] == jobstates.DONE
+            assert original["kind"] == "case"
+            second = client.submit("BUNNY", "vtq", gpu_overrides=overrides)
+            record = client.result(second)
+            assert record["deduped"] is True
+            assert record["result"] == original["result"]
+        ctx = default_context(fast=True)
+        assert original["result"] == runner.run_case(
+            "BUNNY", "vtq", ctx, gpu_overrides=overrides
+        )
 
     def test_batch_verb_gives_per_item_outcomes(self, tmp_path):
         with ServerHarness(spool=tmp_path / "spool") as harness:

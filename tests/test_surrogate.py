@@ -141,12 +141,10 @@ class TestExactLedger:
     def test_budget_accounting(self):
         ledger = ExactLedger(limit=3)
         assert ledger.can_spend(3) and not ledger.can_spend(4)
-        ledger.record("replay", 2)
-        ledger.record("live", 1)
+        ledger.record(2)
+        ledger.record()
         assert ledger.remaining() == 0
-        assert ledger.as_dict() == {
-            "replay": 2, "live": 1, "total": 3, "limit": 3,
-        }
+        assert ledger.as_dict() == {"total": 3, "limit": 3}
 
 
 class TestRunPareto:
@@ -165,8 +163,8 @@ class TestRunPareto:
                     "frontier_verification", "frontier_candidates"):
             assert key in err
         ledger = payload["exact_runs"]
+        assert set(ledger) == {"total", "limit"}
         assert ledger["total"] <= ledger["limit"]
-        assert ledger["total"] == ledger["replay"] + ledger["live"]
 
     def test_frontier_points_are_exact(self, pareto_pair):
         payload = pareto_pair[0].payload
@@ -176,7 +174,6 @@ class TestRunPareto:
         for row in payload["frontier"]:
             assert row["verified"]
             assert (row["cache"], row["queue"]) in exact
-            assert row["kind"] in ("replay", "live")
 
     def test_frontier_costs_strictly_gain(self, pareto_pair):
         rows = pareto_pair[0].payload["frontier"]

@@ -64,7 +64,7 @@ from repro.gpusim import set_batch_kernels, set_soa_engine  # noqa: E402
 
 def _case_list(fast: bool):
     """The fixed sweep: every fast policy combination per scene."""
-    scenes = ("BUNNY", "SPNZA") if fast else ("BUNNY", "SPNZA", "HAIR", "LANDS")
+    scenes = ("BUNNY", "SPNZA") if fast else ("BUNNY", "SPNZA", "CRNVL", "LANDS")
     from repro.core.config import VTQConfig
 
     specs = []

@@ -9,8 +9,12 @@ End to end, in one process (docs/MEMTRACE.md):
    snapshot, cycles and per-SM cycles **bit for bit**,
 3. replay each trace at two L2 sizes and assert each replay equals a
    fresh live run at that configuration exactly,
-4. assert a replay-substituted ``run_case`` sweep point equals the
-   all-live path,
+4. use memory traces as the oracle for live sweep points: a
+   ``run_case`` GPU-override point equals a replay of the
+   base-configuration trace at that override (baseline and prefetch,
+   BUNNY and GSPL1, over ``l2_bytes``, ``dram_latency`` and
+   ``gaussian_alpha_cycles``), and an override sweep through
+   ``run_cases`` records no trace,
 5. assert the refusal paths refuse: vtq cross-config, replay-unsafe
    axes, partial (budget-truncated) traces.
 
@@ -29,17 +33,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.errors import TraceBudgetExceeded, TraceError  # noqa: E402
+from repro.experiments.parallel import gpu_sweep_cases, run_cases  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     ExperimentContext,
     default_context,
+    extract_metrics,
     run_case,
     scene_and_bvh,
 )
-from repro.memtrace import replay_trace  # noqa: E402
+from repro.memtrace import replay_trace, trace_dir  # noqa: E402
 from repro.memtrace.store import record_trace  # noqa: E402
 from repro.tracing import render_scene  # noqa: E402
 
 L2_POINTS = (1 * 1024 * 1024, 4 * 1024 * 1024)
+ORACLE_POINTS = (
+    (("l2_bytes", L2_POINTS[1]),),
+    (("dram_latency", 700),),
+    (("gaussian_alpha_cycles", 16),),
+)
 
 
 def check(condition, message):
@@ -119,32 +130,54 @@ def main():
     finally:
         del os.environ["REPRO_TRACE_BUDGET_BYTES"]
 
-    print("sweep substitution:")
-    overrides = (("l2_bytes", L2_POINTS[1]),)
+    print("live sweep points vs the replay oracle:")
     with tempfile.TemporaryDirectory(prefix="repro-replay-smoke-") as scratch:
         cached = ExperimentContext(
             setup=context.setup, scene_list=context.scene_list,
             use_disk_cache=True,
         )
-        os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "a")
+        os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "cache")
         os.environ["REPRO_TRACE_DIR"] = os.path.join(scratch, "traces")
         try:
-            substituted = run_case(
-                "BUNNY", "prefetch", cached, gpu_overrides=overrides
+            for scene_name in ("BUNNY", "GSPL1"):
+                oracle_scene, oracle_bvh = scene_and_bvh(
+                    scene_name, context.setup
+                )
+                for policy in ("baseline", "prefetch"):
+                    trace, _ = record_trace(
+                        oracle_scene, oracle_bvh, context.setup, policy,
+                        scene_name=scene_name,
+                    )
+                    for overrides in ORACLE_POINTS:
+                        point = override_setup(context.setup, **dict(overrides))
+                        oracle = extract_metrics(
+                            replay_trace(trace, overrides), point
+                        )
+                        oracle.update(scene=scene_name, policy=policy)
+                        live = run_case(
+                            scene_name, policy, cached, gpu_overrides=overrides
+                        )
+                        check(
+                            live == oracle,
+                            f"{scene_name}/{policy} run_case at "
+                            f"{dict(overrides)} equals the trace replay",
+                        )
+            specs = gpu_sweep_cases(
+                "BUNNY", "prefetch", "dram_latency", [300, 471]
             )
-            os.environ["REPRO_MEMTRACE_SWEEPS"] = "0"
-            os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "b")
-            all_live = run_case(
-                "BUNNY", "prefetch", cached, gpu_overrides=overrides
+            results = run_cases(specs, cached, jobs=0)
+            check(
+                all(failure is None for _, failure in results),
+                "override sweep through run_cases completes",
+            )
+            directory = trace_dir()
+            check(
+                not directory.exists() or not any(directory.iterdir()),
+                "override sweep leaves the trace directory empty",
             )
         finally:
-            for name in ("REPRO_CACHE_DIR", "REPRO_TRACE_DIR",
-                         "REPRO_MEMTRACE_SWEEPS"):
+            for name in ("REPRO_CACHE_DIR", "REPRO_TRACE_DIR"):
                 os.environ.pop(name, None)
-    check(
-        substituted == all_live,
-        "replay-substituted run_case metrics equal the all-live path",
-    )
 
     print("replay smoke: PASS")
     return 0
