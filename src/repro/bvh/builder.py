@@ -2,14 +2,14 @@
 
 This plays the role Embree plays in the paper: producing a high-quality
 binary tree that is then collapsed into a 4-wide BVH.  The builder is
-iterative (explicit work stack) so deep scenes cannot hit Python's recursion
-limit, and vectorized per split decision.
+level-synchronous: it splits every open node of one tree level together
+with segmented numpy operations, so its Python overhead grows with tree
+depth rather than node count, and no recursion is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -24,9 +24,11 @@ class BuildConfig:
     Attributes
     ----------
     max_leaf_size:
-        Maximum triangles per leaf.
+        Maximum triangles per leaf.  A node whose centroids all fall into
+        one bin has no valid split and stays a leaf even when larger.
     num_bins:
-        Number of SAH bins per axis.
+        Number of SAH bins, laid along the node's longest centroid axis
+        only (the other two axes are not binned).
     traversal_cost, intersection_cost:
         Relative SAH costs of visiting a node vs testing a triangle.
     """
@@ -121,12 +123,14 @@ class BinaryBVH:
         return cost / root_sa
 
 
-def _centroid_bounds(centroids: np.ndarray) -> AABB:
-    return AABB(centroids.min(axis=0), centroids.max(axis=0))
-
-
 def build_binary_bvh(mesh: TriangleMesh, config: BuildConfig = BuildConfig()) -> BinaryBVH:
     """Build a binary SAH BVH over ``mesh``.
+
+    Level-synchronous: all open nodes of one tree level are binned, costed
+    and partitioned together with segmented numpy operations.  Nodes are
+    then renumbered into depth-first allocation order: the root is node 0,
+    a split allocates both children together, and the right subtree is
+    numbered before the left one.
 
     Raises ``ValueError`` on an empty mesh (an acceleration structure over
     nothing has no root).
@@ -134,151 +138,219 @@ def build_binary_bvh(mesh: TriangleMesh, config: BuildConfig = BuildConfig()) ->
     if mesh.triangle_count == 0:
         raise ValueError("cannot build a BVH over an empty mesh")
 
+    n = mesh.triangle_count
     tri_bounds = mesh.triangle_bounds()
     tri_lo = tri_bounds[:, 0:3]
     tri_hi = tri_bounds[:, 3:6]
     centroids = mesh.triangle_centroids()
+    # Axis-major copies: per-axis ufunc.at scatters are much faster on rows.
+    lo_by_axis = np.ascontiguousarray(tri_lo.T)
+    hi_by_axis = np.ascontiguousarray(tri_hi.T)
+    # Only a mesh holding -0.0 can make a segmented min/max disagree with a
+    # per-range one (the sign of a zero bound depends on reduction order).
+    signed_zeros = bool(np.any(np.signbit(tri_bounds) & (tri_bounds == 0)))
 
-    prim_order = np.arange(mesh.triangle_count, dtype=np.int64)
+    prim_order = np.arange(n, dtype=np.int64)
 
-    bounds_lo: List[np.ndarray] = []
-    bounds_hi: List[np.ndarray] = []
-    left: List[int] = []
-    right: List[int] = []
-    first_prim: List[int] = []
-    prim_count: List[int] = []
+    # Nodes in creation order (level by level); renumbered at the end.
+    capacity = 2 * n - 1
+    node_lo = np.empty((capacity, 3), dtype=tri_lo.dtype)
+    node_hi = np.empty((capacity, 3), dtype=tri_hi.dtype)
+    left = np.full(capacity, -1, dtype=np.int64)
+    right = np.full(capacity, -1, dtype=np.int64)
+    first_prim = np.zeros(capacity, dtype=np.int64)
+    prim_count = np.zeros(capacity, dtype=np.int64)
+    node_lo[0] = tri_lo.min(axis=0)
+    node_hi[0] = tri_hi.max(axis=0)
+    node_count = 1
 
-    def alloc_node(lo: np.ndarray, hi: np.ndarray) -> int:
-        bounds_lo.append(lo)
-        bounds_hi.append(hi)
-        left.append(-1)
-        right.append(-1)
-        first_prim.append(0)
-        prim_count.append(0)
-        return len(left) - 1
-
-    root_lo = tri_lo.min(axis=0)
-    root_hi = tri_hi.max(axis=0)
-    root = alloc_node(root_lo, root_hi)
-
-    # Work stack of (node_index, start, end) primitive ranges to split.
-    work = [(root, 0, mesh.triangle_count)]
-    while work:
-        node, start, end = work.pop()
+    # The open nodes of the current level and their [start, end) ranges.
+    ids = np.zeros(1, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+    end = np.full(1, n, dtype=np.int64)
+    while ids.size:
         count = end - start
-        if count <= config.max_leaf_size:
-            first_prim[node] = start
-            prim_count[node] = count
+        small = count <= config.max_leaf_size
+        first_prim[ids[small]] = start[small]
+        prim_count[ids[small]] = count[small]
+        ids, start, end, count = ids[~small], start[~small], end[~small], count[~small]
+        if not ids.size:
+            break
+
+        # Gather every open primitive, one contiguous segment per node.
+        k = ids.size
+        rows = np.arange(k)
+        offsets = np.cumsum(count) - count
+        total = int(offsets[-1] + count[-1])
+        seg = np.repeat(rows, count)
+        pos = np.arange(total) + np.repeat(start - offsets, count)
+        idx = prim_order[pos]
+        cent = centroids[idx]
+
+        cmin = np.minimum.reduceat(cent, offsets)
+        cmax = np.maximum.reduceat(cent, offsets)
+        axis = np.argmax(cmax - cmin, axis=1)
+        cmin = cmin[rows, axis]
+        extent = cmax[rows, axis] - cmin
+        binned = extent > 1e-12
+        keys = cent[np.arange(total), axis[seg]]
+        threshold, has_split = _binned_sah_thresholds(
+            keys, lo_by_axis[:, idx], hi_by_axis[:, idx], seg, count, cmin,
+            extent, binned, node_lo[ids], node_hi[ids], config,
+        )
+
+        # Binned nodes with no finite-cost split stay leaves whatever their
+        # size.
+        stuck = binned & ~has_split
+        first_prim[ids[stuck]] = start[stuck]
+        prim_count[ids[stuck]] = count[stuck]
+
+        # Stable partition on centroid < threshold.  Degenerate nodes and
+        # partitions with one empty side split at count // 2 in place.
+        sah = binned & has_split
+        in_left = sah[seg] & (keys < threshold[seg])
+        n_left = np.add.reduceat(in_left.astype(np.int64), offsets)
+        moved = sah & (n_left > 0) & (n_left < count)
+        split_len = np.where(moved, n_left, count // 2)
+        order = np.argsort(2 * seg + (moved[seg] & ~in_left), kind="stable")
+        idx = idx[order]
+        prim_order[pos] = idx
+
+        # Bounds of both halves of every node; stuck nodes' are dropped.
+        child_starts = np.stack([offsets, offsets + split_len], axis=1).ravel()
+        child_lo = _segment_reduce(np.minimum, tri_lo[idx], child_starts, signed_zeros)
+        child_hi = _segment_reduce(np.maximum, tri_hi[idx], child_starts, signed_zeros)
+        split = np.flatnonzero(~stuck)
+        lids = node_count + 2 * np.arange(split.size)
+        child_ids = np.stack([lids, lids + 1], axis=1).ravel()
+        pick = np.stack([2 * split, 2 * split + 1], axis=1).ravel()
+        left[ids[split]] = lids
+        right[ids[split]] = lids + 1
+        node_lo[child_ids] = child_lo[pick]
+        node_hi[child_ids] = child_hi[pick]
+        node_count += 2 * split.size
+
+        mid = start[split] + split_len[split]
+        ids = child_ids
+        start = np.stack([start[split], mid], axis=1).ravel()
+        end = np.stack([mid, end[split]], axis=1).ravel()
+
+    # Depth-first allocation order: popping a split node from a LIFO work
+    # stack gives its children the next two ids, right child popped first.
+    left_of = left[:node_count].tolist()
+    right_of = right[:node_count].tolist()
+    new_id = [0] * node_count
+    next_id = 1
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        lnode = left_of[node]
+        if lnode < 0:
             continue
-
-        idx = prim_order[start:end]
-        cb = _centroid_bounds(centroids[idx])
-        axis = cb.longest_axis()
-        extent = cb.hi[axis] - cb.lo[axis]
-
-        split = None
-        if extent > 1e-12:
-            split = _binned_sah_split(
-                centroids[idx], tri_lo[idx], tri_hi[idx], cb, axis, config
-            )
-
-        if split is None and extent > 1e-12:
-            # SAH prefers a leaf and the node is small enough to be one.
-            first_prim[node] = start
-            prim_count[node] = count
-            continue
-
-        if split is None:
-            # Degenerate: all centroids coincide.  Median-split by index to
-            # guarantee progress; primitive order is already arbitrary.
-            split_mid = count // 2
-        else:
-            threshold, _ = split
-            keys = centroids[idx][:, axis]
-            in_left = keys < threshold
-            # Stable partition preserving relative order on each side.
-            prim_order[start:end] = np.concatenate([idx[in_left], idx[~in_left]])
-            split_mid = int(in_left.sum())
-            if split_mid == 0 or split_mid == count:
-                split_mid = count // 2
-
-        mid = start + split_mid
-        lo_l, hi_l = _prim_range_bounds(prim_order, tri_lo, tri_hi, start, mid)
-        lo_r, hi_r = _prim_range_bounds(prim_order, tri_lo, tri_hi, mid, end)
-        lnode = alloc_node(lo_l, hi_l)
-        rnode = alloc_node(lo_r, hi_r)
-        left[node] = lnode
-        right[node] = rnode
-        work.append((lnode, start, mid))
-        work.append((rnode, mid, end))
+        rnode = right_of[node]
+        new_id[lnode] = next_id
+        new_id[rnode] = next_id + 1
+        next_id += 2
+        stack.append(lnode)
+        stack.append(rnode)
+    new_id = np.asarray(new_id, dtype=np.int64)
+    old_id = np.empty(node_count, dtype=np.int64)
+    old_id[new_id] = np.arange(node_count)
+    interior = left[old_id] >= 0
 
     bvh = BinaryBVH(mesh)
-    bvh.bounds_lo = np.asarray(bounds_lo)
-    bvh.bounds_hi = np.asarray(bounds_hi)
-    bvh.left = np.asarray(left, dtype=np.int64)
-    bvh.right = np.asarray(right, dtype=np.int64)
-    bvh.first_prim = np.asarray(first_prim, dtype=np.int64)
-    bvh.prim_count = np.asarray(prim_count, dtype=np.int64)
+    bvh.bounds_lo = node_lo[old_id]
+    bvh.bounds_hi = node_hi[old_id]
+    bvh.left = np.where(interior, new_id[left[old_id]], -1)
+    bvh.right = np.where(interior, new_id[right[old_id]], -1)
+    bvh.first_prim = first_prim[old_id]
+    bvh.prim_count = prim_count[old_id]
     bvh.prim_order = prim_order
     return bvh
 
 
-def _prim_range_bounds(prim_order, tri_lo, tri_hi, start, end):
-    idx = prim_order[start:end]
-    return tri_lo[idx].min(axis=0), tri_hi[idx].max(axis=0)
+def _binned_sah_thresholds(
+    keys, lo, hi, seg, count, cmin, extent, binned, node_lo, node_hi, config
+):
+    """Best binned SAH split plane of every node in a level.
 
+    ``keys`` are the primitives' centroid coordinates along their node's
+    longest centroid axis, ``lo``/``hi`` their ``(3, N)`` axis-major
+    bounds, ``seg`` their node row.  Returns ``(threshold, has_split)`` per
+    node; ``has_split`` is False where no split has a finite cost (every
+    split leaves one side empty, or the cost overflows).  Rows that are
+    not ``binned`` (centroid extent <= 1e-12) get meaningless values.
 
-def _binned_sah_split(centroids, lo, hi, cb: AABB, axis: int, config: BuildConfig):
-    """Pick the best binned SAH split along ``axis``.
-
-    Returns ``(threshold, cost)`` or ``None`` when making a leaf is cheaper
-    and permitted by ``max_leaf_size``.
+    Every float expression keeps the order of operations of a per-node
+    builder, so thresholds match one bit for bit.
     """
-    count = len(centroids)
+    k = count.size
     num_bins = config.num_bins
-    cmin = cb.lo[axis]
-    extent = cb.hi[axis] - cmin
-    scale = num_bins / extent
-    bin_idx = np.minimum(((centroids[:, axis] - cmin) * scale).astype(np.int64), num_bins - 1)
+    # Rows that are not binned (tiny or NaN extent) put everything in bin 0.
+    scale = num_bins / np.where(binned, extent, 1.0)
+    rel = np.where(binned[seg], (keys - cmin[seg]) * scale[seg], 0.0)
+    key = seg * num_bins + np.minimum(rel.astype(np.int64), num_bins - 1)
 
-    bin_counts = np.bincount(bin_idx, minlength=num_bins)
-    bin_lo = np.full((num_bins, 3), np.inf)
-    bin_hi = np.full((num_bins, 3), -np.inf)
-    for b in range(num_bins):
-        mask = bin_idx == b
-        if np.any(mask):
-            bin_lo[b] = lo[mask].min(axis=0)
-            bin_hi[b] = hi[mask].max(axis=0)
+    bin_counts = np.bincount(key, minlength=k * num_bins).reshape(k, num_bins)
+    bin_lo = np.full((3, k * num_bins), np.inf)
+    bin_hi = np.full((3, k * num_bins), -np.inf)
+    for a in range(3):
+        np.minimum.at(bin_lo[a], key, lo[a])
+        np.maximum.at(bin_hi[a], key, hi[a])
+    bin_lo = bin_lo.reshape(3, k, num_bins)
+    bin_hi = bin_hi.reshape(3, k, num_bins)
 
     # Sweep: left-to-right and right-to-left prefix bounds and counts.
-    left_counts = np.cumsum(bin_counts)[:-1]
-    right_counts = count - left_counts
-    left_lo = np.minimum.accumulate(bin_lo, axis=0)[:-1]
-    left_hi = np.maximum.accumulate(bin_hi, axis=0)[:-1]
-    right_lo = np.minimum.accumulate(bin_lo[::-1], axis=0)[::-1][1:]
-    right_hi = np.maximum.accumulate(bin_hi[::-1], axis=0)[::-1][1:]
+    left_counts = np.cumsum(bin_counts, axis=1)[:, :-1]
+    right_counts = count[:, None] - left_counts
+    left_lo = np.minimum.accumulate(bin_lo, axis=2)[..., :-1]
+    left_hi = np.maximum.accumulate(bin_hi, axis=2)[..., :-1]
+    right_lo = np.minimum.accumulate(bin_lo[..., ::-1], axis=2)[..., ::-1][..., 1:]
+    right_hi = np.maximum.accumulate(bin_hi[..., ::-1], axis=2)[..., ::-1][..., 1:]
 
     def areas(los, his):
         d = np.maximum(his - los, 0.0)
         d = np.where(np.isfinite(d), d, 0.0)
-        return 2.0 * (d[:, 0] * d[:, 1] + d[:, 1] * d[:, 2] + d[:, 2] * d[:, 0])
+        return 2.0 * (d[0] * d[1] + d[1] * d[2] + d[2] * d[0])
 
     sa_left = areas(left_lo, left_hi)
     sa_right = areas(right_lo, right_hi)
-    parent_sa = max(AABB(lo.min(axis=0), hi.max(axis=0)).surface_area(), 1e-20)
+    # AABB.surface_area of each node's own (never empty) bounds, floored
+    # at 1e-20 the way max(sa, 1e-20) floors it.
+    d = node_hi - node_lo
+    parent_sa = 2.0 * (d[:, 0] * d[:, 1] + d[:, 1] * d[:, 2] + d[:, 2] * d[:, 0])
+    parent_sa = np.where(1e-20 > parent_sa, 1e-20, parent_sa)
 
     split_costs = config.traversal_cost + config.intersection_cost * (
         sa_left * left_counts + sa_right * right_counts
-    ) / parent_sa
+    ) / parent_sa[:, None]
     # Invalid splits (all prims on one side) get infinite cost.
     split_costs = np.where((left_counts == 0) | (right_counts == 0), np.inf, split_costs)
 
-    best = int(np.argmin(split_costs))
-    best_cost = split_costs[best]
-    leaf_cost = config.intersection_cost * count
-    if not np.isfinite(best_cost):
-        return None
-    if count <= config.max_leaf_size and leaf_cost <= best_cost:
-        return None
+    best = np.argmin(split_costs, axis=1)
+    has_split = np.isfinite(split_costs[np.arange(k), best])
     threshold = cmin + (best + 1) / scale
-    return threshold, float(best_cost)
+    return threshold, has_split
+
+
+def _segment_reduce(op, values, starts, signed_zeros):
+    """``op.reduceat(values, starts, axis=0)``, bit-exact vs per-range reduces.
+
+    Min and max are exact in any order except for the sign of a zero
+    result, which depends on the order numpy reduces in.  With
+    ``signed_zeros``, segments whose zero result could carry either sign
+    are reduced again on their own, exactly as a per-range ``op.reduce``.
+    """
+    out = op.reduceat(values, starts, axis=0)
+    if signed_zeros:
+        zero = values == 0
+        neg = zero & np.signbit(values)
+        mixed = (
+            (out == 0)
+            & np.logical_or.reduceat(neg, starts, axis=0)
+            & np.logical_or.reduceat(zero & ~neg, starts, axis=0)
+        )
+        ends = np.append(starts[1:], len(values))
+        for i in np.flatnonzero(mixed.any(axis=1)):
+            out[i] = op.reduce(values[starts[i] : ends[i]], axis=0)
+    return out

@@ -1,11 +1,17 @@
 """LBVH: linear (Morton-order) BVH construction.
 
-The fast-build path real-time renderers use when geometry changes too
-much for refitting: sort triangles by the Morton code of their centroid,
-then emit a hierarchy by recursively splitting the sorted range at the
+The build real-time renderers use when geometry changes too much for
+refitting: sort triangles by the Morton code of their centroid, then
+emit a hierarchy by recursively splitting the sorted range at the
 highest differing code bit (Lauterbach et al. 2009 / Karras 2012 style).
-Quality is below a SAH build (longer rays through fatter boxes) but the
-build is a sort plus an O(n) pass.
+Quality is below a SAH build (longer rays through fatter boxes).
+
+Here it is not the fast builder.  Its hierarchy pass is a per-node
+Python loop, while the SAH builder (:mod:`repro.bvh.builder`) splits a
+whole tree level per numpy pass and is faster: LANDS builds in 0.06 s
+against 0.15 s for LBVH, BATH in 0.04 s against 0.08 s (2-vCPU Xeon,
+numpy 2.4).  It stays as the Morton-order builder, the second tree
+topology for quality comparisons.
 
 ``build_lbvh_binary`` produces the same :class:`BinaryBVH` structure as
 the SAH builder, so the whole downstream pipeline (wide collapse,

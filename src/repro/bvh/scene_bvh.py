@@ -177,7 +177,7 @@ def build_scene_bvh(
         if compressed_leaves:
             raise ValueError("compressed leaves are a triangle codec; "
                              "gaussian sets are stored uncompressed")
-        if layout_config == LayoutConfig():
+        if layout_config.triangle_bytes == LayoutConfig().triangle_bytes:
             # A gaussian record is fatter than a triangle: center (12) +
             # precision upper triangle (24) + opacity (4) + color (12) +
             # padding at float32 = 64 bytes per primitive.

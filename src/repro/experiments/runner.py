@@ -45,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import time
 
 from repro import faults
-from repro.bvh import build_scene_bvh
+from repro.bvh import LayoutConfig, build_scene_bvh
 from repro.core.config import VTQConfig
 from repro.errors import BudgetExceeded, CacheError, ReproError, SimulationError
 from repro.gpusim.budget import CaseBudget, budget_from_env, wall_clock_watchdog
@@ -59,7 +59,8 @@ from repro.tracing import render_scene
 logger = logging.getLogger("repro.experiments")
 
 # Bump when simulator semantics change, to invalidate stale cached results.
-RESULTS_VERSION = "7"
+# 8: line_bytes overrides lay the BVH out in lines of that size.
+RESULTS_VERSION = "8"
 
 _CACHE_DIR = Path(__file__).resolve().parents[3] / ".cache" / "experiments"
 
@@ -139,6 +140,7 @@ def scene_and_bvh(name: str, setup: ScaledSetup):
     scene = load_scene(name, scale=setup.scene_scale)
     bvh = build_scene_bvh(
         scene.mesh,
+        layout_config=LayoutConfig(line_bytes=setup.gpu.line_bytes),
         treelet_budget_bytes=setup.gpu.treelet_bytes,
     )
     _scene_cache[key] = (scene, bvh)

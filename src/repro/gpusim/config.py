@@ -90,6 +90,9 @@ class GPUConfig:
     def __post_init__(self):
         if self.warp_size < 1 or self.num_sms < 1:
             raise ValueError("warp_size and num_sms must be positive")
+        if self.line_bytes <= 0 or self.line_bytes & (self.line_bytes - 1):
+            # The BVH layout is cut into lines of this size too.
+            raise ValueError("line_bytes must be a positive power of two")
         if self.l1_bytes % self.line_bytes or self.l2_bytes % self.line_bytes:
             raise ValueError("cache sizes must be multiples of the line size")
         if self.cta_threads % self.warp_size:

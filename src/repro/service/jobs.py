@@ -21,16 +21,18 @@ one is safe and usually a cache hit).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import uuid
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.config import VTQConfig
 from repro.errors import ServiceError
 from repro.experiments.parallel import CaseSpec
+from repro.gpusim.config import GPUConfig
 
 RECORD_VERSION = "1"
 
@@ -90,6 +92,39 @@ def spec_from_dict(payload: Dict) -> CaseSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"unusable case spec {payload!r}: {exc}") from exc
+
+
+def check_gpu_overrides(overrides, gpu: GPUConfig) -> None:
+    """Refuse ``(name, value)`` overrides a worker could not run on ``gpu``.
+
+    Each name must be a :class:`GPUConfig` field and each value a finite
+    number (a bool for bool fields such as ``detailed_dram``; a number or
+    null for ``l1_assoc``), and ``GPUConfig`` must accept the result.
+    """
+    if not overrides:
+        return
+    defaults = {f.name: f.default for f in fields(GPUConfig)}
+    for name, value in overrides:
+        if name not in defaults:
+            raise ServiceError(f"gpu_overrides: {name!r} is not a GPUConfig field")
+        if isinstance(defaults[name], bool):
+            ok = isinstance(value, bool)
+        elif value is None:
+            ok = defaults[name] is None
+        else:
+            ok = (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+            )
+        if not ok:
+            raise ServiceError(
+                f"gpu_overrides: {name}={value!r} is not a valid {name} value"
+            )
+    try:
+        replace(gpu, **dict(overrides))
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"gpu_overrides {dict(overrides)!r}: {exc}") from exc
 
 
 @dataclass

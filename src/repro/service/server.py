@@ -62,7 +62,12 @@ from repro.scenes import scene_names
 from repro.service import protocol
 from repro.service import jobs as jobstates
 from repro.service.fleet import FleetRegistry
-from repro.service.jobs import JobStore, new_job, spec_from_dict
+from repro.service.jobs import (
+    JobStore,
+    check_gpu_overrides,
+    new_job,
+    spec_from_dict,
+)
 from repro.service.queue import JobQueue
 from repro.service.resultcache import ResultCache, dedupe_enabled, result_key
 from repro.service.scheduler import Scheduler
@@ -375,6 +380,7 @@ class SimulationServer:
             raise ServiceError(
                 f"unknown policy {spec.policy!r}; expected one of {POLICIES}"
             )
+        check_gpu_overrides(spec.gpu_overrides, self.context.setup.gpu)
         # Normalised before the dedupe key: a legacy "replay" submission
         # and the equivalent "case" share one result.
         kind = jobstates.canonical_kind(request.get("kind"))

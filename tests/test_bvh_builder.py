@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bvh import BuildConfig, build_binary_bvh
 from repro.geometry import TriangleMesh
+from repro.gpusim.config import default_setup
+from repro.scenes import load_scene, scene_names
 
+from tests.bvh_reference import build_binary_bvh_reference
 from tests.conftest import grid_mesh, quad_mesh, random_soup
+
+BVH_ARRAYS = (
+    "bounds_lo", "bounds_hi", "left", "right", "first_prim", "prim_count",
+    "prim_order",
+)
 
 
 def check_invariants(bvh):
@@ -117,3 +126,87 @@ class TestBuild:
         if interior:
             with pytest.raises(ValueError):
                 bvh.leaf_primitives(interior[0])
+
+
+def assert_same_bvh(got, want):
+    """Every BinaryBVH array matches in dtype, shape and bytes."""
+    for name in BVH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def oracle_meshes(draw):
+    """1-64 triangles shaped to hit the SAH edge cases (ties, degeneracies)."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(
+        ["soup", "coincident", "planar", "collinear", "lattice"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        # Integer-lattice vertices produce SAH cost ties and centroids
+        # exactly on bin edges; -0.0 exercises signed-zero bounds.
+        coords = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+        tris = rng.choice(coords, size=(n, 3, 3))
+    elif kind == "coincident":
+        tris = np.broadcast_to(rng.uniform(-1, 1, size=(1, 3, 3)), (n, 3, 3))
+    else:
+        spread = draw(st.sampled_from([1e-9, 1e-3, 1.0, 100.0]))
+        anchors = rng.uniform(-spread, spread, size=(n, 1, 3))
+        if kind == "collinear":
+            anchors[:, :, 1:] = 0.0
+        tris = anchors + rng.uniform(-0.5, 0.5, size=(n, 3, 3)) * spread
+        if kind == "planar":
+            tris[:, :, 2] = draw(st.sampled_from([0.0, -0.0, 1.5]))
+    return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * n).reshape(n, 3))
+
+
+class TestMatchesPerNodeOracle:
+    """The level-synchronous builder is byte-identical to the per-node one."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        oracle_meshes(),
+        st.integers(1, 8),
+        st.integers(2, 32),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    def test_generated_meshes(self, mesh, leaf, bins, traversal, intersection):
+        config = BuildConfig(
+            max_leaf_size=leaf, num_bins=bins,
+            traversal_cost=traversal, intersection_cost=intersection,
+        )
+        bvh = build_binary_bvh(mesh, config)
+        assert_same_bvh(bvh, build_binary_bvh_reference(mesh, config))
+        check_invariants(bvh)
+
+    def test_signed_zero_bounds(self):
+        """-0.0 and 0.0 mixed in one range: a zero bound keeps the sign the
+        per-range reduction gives it, not whatever a segmented one would."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            tris = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0], size=(150, 3, 3))
+            mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(450).reshape(150, 3))
+            assert_same_bvh(build_binary_bvh(mesh), build_binary_bvh_reference(mesh))
+
+    def test_no_valid_split_leaves_a_big_leaf(self):
+        """Surface areas that overflow make every split cost inf: the node
+        stays a leaf above max_leaf_size, as in the per-node builder."""
+        tris = np.random.default_rng(0).uniform(-1e200, 1e200, size=(40, 3, 3))
+        mesh = TriangleMesh(tris.reshape(-1, 3), np.arange(120).reshape(40, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            bvh = build_binary_bvh(mesh)
+            assert_same_bvh(bvh, build_binary_bvh_reference(mesh))
+        assert bvh.node_count == 1 and bvh.prim_count[0] == 40
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", scene_names(include_gaussian=True))
+    def test_registered_scenes(self, name):
+        mesh = load_scene(name, scale=default_setup(fast=True).scene_scale).mesh
+        assert_same_bvh(build_binary_bvh(mesh), build_binary_bvh_reference(mesh))

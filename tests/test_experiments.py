@@ -68,6 +68,36 @@ class TestRunner:
         ctx = default_context()
         assert ctx.scenes() == ["LANDS", "FRST"]
 
+    @pytest.mark.parametrize("scene_name, policy", [
+        ("BUNNY", "baseline"), ("BUNNY", "prefetch"), ("BUNNY", "vtq"),
+        ("GSPL1", "baseline"),
+    ])
+    def test_line_bytes_override_lays_out_the_bvh(self, ctx, scene_name, policy):
+        """A line_bytes point renders on a BVH cut into lines of that size
+        (gaussian scenes keep their 64-byte records), not on the default
+        32-byte layout."""
+        from dataclasses import replace
+
+        from repro.bvh import LayoutConfig, build_scene_bvh
+        from repro.experiments.runner import extract_metrics
+        from repro.scenes import load_scene
+        from repro.tracing import render_scene
+
+        metrics = run_case(scene_name, policy, ctx, gpu_overrides={"line_bytes": 64})
+        setup = replace(ctx.setup, gpu=replace(ctx.setup.gpu, line_bytes=64))
+        scene = load_scene(scene_name, scale=setup.scene_scale)
+        bvh = build_scene_bvh(
+            scene.mesh, layout_config=LayoutConfig(line_bytes=64),
+            treelet_budget_bytes=setup.gpu.treelet_bytes,
+        )
+        assert bvh.layout.config.line_bytes == 64
+        if scene_name == "GSPL1":
+            assert bvh.layout.config.triangle_bytes == 64
+        result = render_scene(scene, bvh, setup, policy=policy)
+        expected = extract_metrics(result, setup)
+        expected.update(scene=scene_name, policy=policy)
+        assert metrics == expected
+
 
 class TestFigures:
     def test_fig01_shape(self, ctx):

@@ -52,6 +52,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             GPUConfig(cta_threads=50)
 
+    def test_line_bytes_power_of_two(self):
+        """The BVH layout is cut into lines of this size, and the layout
+        only takes powers of two, even when the caches divide evenly."""
+        with pytest.raises(ValueError, match="power of two"):
+            GPUConfig(line_bytes=96, l1_bytes=96 * 64, l2_bytes=96 * 512)
+
 
 class TestScaling:
     def test_scaled_keeps_latencies(self):

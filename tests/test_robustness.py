@@ -330,7 +330,7 @@ class TestSceneCacheLRU:
         )
         monkeypatch.setattr(
             runner, "build_scene_bvh",
-            lambda mesh, treelet_budget_bytes: object(),
+            lambda mesh, **layout: object(),
         )
         monkeypatch.setattr(runner, "_scene_cache", OrderedDict())
         monkeypatch.setenv("REPRO_SCENE_CACHE_ENTRIES", "2")

@@ -269,6 +269,31 @@ class TestProtocolErrors:
             with sock.makefile("rb") as stream:
                 return protocol.decode(stream.readline())
 
+    @pytest.mark.parametrize("overrides, message", [
+        ([["l2_bytez", 65536]], "not a GPUConfig field"),
+        ([["dram_latency", "slow"]], "not a valid dram_latency value"),
+        ([["line_bytes", 48]], "line_bytes"),
+    ])
+    def test_bad_gpu_overrides_rejected_at_admission(
+        self, tmp_path, overrides, message
+    ):
+        """Unknown fields, non-numeric values and values GPUConfig refuses
+        get a typed error at the door and never reach the queue."""
+        request = {
+            "op": "submit", "scene": "BUNNY", "policy": "baseline",
+            "gpu_overrides": overrides,
+        }
+        with ServerHarness(spool=tmp_path / "spool") as harness:
+            reply = self._raw_roundtrip(
+                harness, protocol.encode(request)
+            )
+            assert reply["ok"] is False
+            assert reply["reason"] != "internal"
+            assert message in reply["error"]
+            client = harness.client()
+            assert client.health()["queue_depth"] == 0
+            assert client.jobs() == []
+
     def test_malformed_and_unknown_requests(self, tmp_path):
         with ServerHarness(spool=tmp_path / "spool") as harness:
             reply = self._raw_roundtrip(harness, b"this is not json\n")
