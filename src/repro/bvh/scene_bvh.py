@@ -40,7 +40,7 @@ class BatchTables:
     ``node_children[node]``, zero-padded past the child count) and
     ``leaf_v0/e1/e2[leaf]`` are ``(T, 3)`` triangle data (zero-padded —
     degenerate, so the triangle kernel rejects padding rows by itself).
-    Fixed-width padding lets a warp's worth of nodes or leaves be gathered
+    Fixed-width padding lets a wave's worth of nodes or leaves be gathered
     with one fancy index instead of per-step concatenation.
 
     On a gaussian BVH the leaf mirrors are ``leaf_gc`` (centers,

@@ -215,8 +215,10 @@ def pop_next(bvh, state: RayTraversalState, in_treelet_only: bool = False):
     Returns ``(item, is_leaf, local_idx)`` or ``None`` under the same
     conditions :func:`single_step` returns ``None``.  This is the pop
     half of a step; callers must follow up with the expansion /
-    intersection half (``single_step`` does both, the warp batch path
-    pops every lane first and then intersects them in one kernel call).
+    intersection half.  ``single_step`` does both for one ray; the SoA
+    plan builder pops a whole wave of rays (through
+    :func:`pop_next_recording`) and then hands them to
+    :func:`expand_nodes_batch` / :func:`intersect_leaves_batch`.
     """
     while True:
         if not state.current_stack:

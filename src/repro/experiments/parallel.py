@@ -20,8 +20,7 @@ idle.  This module adds the missing layer:
   attribute crashes and hangs to the exact case that caused them, the
   pool rebuilds itself, and a case that destroys
   ``REPRO_MAX_CASE_CRASHES`` workers is poisoned (quarantined with a
-  typed reason) instead of retried forever.  ``REPRO_SUPERVISED=0``
-  falls back to the legacy ``ProcessPoolExecutor`` path.
+  typed reason) instead of retried forever.
 * Sweeps with a disk cache checkpoint their progress in a crash-safe
   journal (:class:`repro.resilience.SweepJournal`): a sweep killed
   mid-flight resumes from the last completed case — including
@@ -43,7 +42,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,10 +93,10 @@ def jobs_from_env() -> int:
     """Worker count: ``REPRO_JOBS`` if set, else ``os.cpu_count()``.
 
     ``REPRO_JOBS=0`` is the explicit "serial, no pool" mode: every case
-    runs in the calling process and no ``ProcessPoolExecutor`` is ever
-    created.  Negative values are a configuration error and raise
-    ``ValueError`` (rather than whatever the pool would do with them);
-    non-integer garbage falls back to the CPU count with a warning.
+    runs in the calling process and no worker pool is ever created.
+    Negative values are a configuration error and raise ``ValueError``
+    (rather than whatever the pool would do with them); non-integer
+    garbage falls back to the CPU count with a warning.
     """
     raw = os.environ.get("REPRO_JOBS")
     if raw:
@@ -144,14 +142,6 @@ def case_worker_obs(spec: CaseSpec, context: ExperimentContext):
     return result, diff_snapshots(before, reg.snapshot())
 
 
-def _busy_seconds(delta: Dict) -> float:
-    """Worker busy time recorded in a metrics delta (case wall seconds)."""
-    family = delta.get("repro_case_seconds")
-    if not family:
-        return 0.0
-    return sum(sample["sum"] for sample in family.get("samples", {}).values())
-
-
 def _observe_sweep(mode: str, elapsed: float, utilization: Optional[float]) -> None:
     reg = obs_registry()
     reg.histogram(
@@ -172,11 +162,6 @@ def _count_case(status: str) -> None:
         "Sweep cases by outcome",
         ("status",),
     ).labels(status=status).inc()
-
-
-def _supervised_enabled() -> bool:
-    """Supervised pool is the default; ``REPRO_SUPERVISED=0`` opts out."""
-    return os.environ.get("REPRO_SUPERVISED", "1") != "0"
 
 
 def _resume_from_journal(
@@ -267,13 +252,8 @@ def run_cases(
                 _run_serial(
                     cases, pending, context, results, record_failures, checkpoint
                 )
-            elif _supervised_enabled():
-                _run_supervised(
-                    cases, pending, context, results, record_failures,
-                    checkpoint, workers,
-                )
             else:
-                _run_executor(
+                _run_supervised(
                     cases, pending, context, results, record_failures,
                     checkpoint, workers,
                 )
@@ -350,56 +330,6 @@ def _run_supervised(
     _observe_sweep(
         "parallel", elapsed,
         pool.busy_seconds / (elapsed * workers) if elapsed > 0 else 0.0,
-    )
-
-
-def _run_executor(
-    cases, pending, context, results, record_failures, checkpoint, workers
-) -> None:
-    """Legacy parallel path (``REPRO_SUPERVISED=0``): plain executor."""
-    done = 0
-    busy = 0.0
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(case_worker_obs, cases[index], context): index
-            for index in pending
-        }
-        for future in as_completed(futures):
-            index = futures[future]
-            spec = cases[index]
-            try:
-                (metrics, failure), obs_delta = future.result()
-            except Exception as exc:  # worker process died (or pool broke)
-                metrics = None
-                failure = CaseFailure(
-                    scene=spec.scene,
-                    policy=spec.policy,
-                    error_type=type(exc).__name__,
-                    message=f"worker crashed: {exc}",
-                )
-            else:
-                # Metrics recorded inside the worker process (case wall
-                # time, cache events, bridged SimStats) merge into the
-                # parent's registry here.
-                obs_registry().merge_snapshot(obs_delta)
-                busy += _busy_seconds(obs_delta)
-            # Quarantine records live in the worker's memory; re-record in
-            # the parent so `failures()` reflects the whole sweep.
-            if failure is not None and record_failures:
-                record_failure(failure)
-            _count_case("ok" if failure is None else "quarantined")
-            results[index] = (metrics, failure)
-            checkpoint(index, metrics, failure)
-            done += 1
-            logger.info(
-                "parallel sweep %d/%d %s%s",
-                done, len(pending), spec.label(),
-                "" if failure is None else f" [quarantined: {failure.error_type}]",
-            )
-    elapsed = time.perf_counter() - start
-    _observe_sweep(
-        "parallel", elapsed, busy / (elapsed * workers) if elapsed > 0 else 0.0
     )
 
 

@@ -13,26 +13,11 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import VTQConfig
-from repro.experiments.runner import ExperimentContext, run_case, scene_and_bvh
-from repro.gpusim.stats import TraversalMode
-from repro.tracing import render_scene
-
-
-def _metrics_row(label: str, baseline_cycles: float, result) -> List[str]:
-    treelet_share = result.stats.mode_test_fractions()[
-        TraversalMode.TREELET_STATIONARY
-    ]
-    return [
-        label,
-        f"{result.cycles:,.0f}",
-        f"{baseline_cycles / result.cycles:.2f}x",
-        f"{result.stats.simt_efficiency():.2f}",
-        f"{treelet_share:.3f}",
-    ]
+from repro.experiments.runner import ExperimentContext, run_case
 
 
 def _metrics_row_from_dict(label: str, baseline_cycles: float, m: Dict) -> List[str]:
-    """The same row, built from a run_case metric dict."""
+    """One table row, built from a run_case metric dict."""
     return [
         label,
         f"{m['cycles']:,.0f}",
@@ -54,20 +39,20 @@ def sweep_vtq_param(
 ) -> Dict:
     """Sweep one :class:`VTQConfig` field on one scene.
 
-    Raises ``ValueError`` for unknown fields (typos must not silently
-    sweep nothing).
+    Every point is one :func:`~repro.experiments.runner.run_case`, so it
+    is cached, budgeted and sanitized like any case.  Raises
+    ``ValueError`` for unknown fields (typos must not silently sweep
+    nothing).
     """
     base = base or VTQConfig()
     if not hasattr(base, param):
         raise ValueError(f"VTQConfig has no field {param!r}")
-    setup = context.setup
-    scene, bvh = scene_and_bvh(scene_name, setup)
-    baseline = render_scene(scene, bvh, setup, policy="baseline")
+    baseline = run_case(scene_name, "baseline", context)
     rows = []
     for value in values:
         cfg = replace(base, **{param: value})
-        result = render_scene(scene, bvh, setup, policy="vtq", vtq_config=cfg)
-        rows.append(_metrics_row(str(value), baseline.cycles, result))
+        m = run_case(scene_name, "vtq", context, vtq=cfg)
+        rows.append(_metrics_row_from_dict(str(value), baseline["cycles"], m))
     return {
         "title": f"VTQ sweep on {scene_name}: {param} in {list(values)}",
         "headers": _HEADERS,
@@ -121,15 +106,7 @@ def sweep_scenes(
     for scene in context.scenes():
         base = run_case(scene, "baseline", context)
         m = run_case(scene, policy, context, vtq=vtq)
-        rows.append(
-            [
-                scene,
-                f"{m['cycles']:,.0f}",
-                f"{base['cycles'] / m['cycles']:.2f}x",
-                f"{m['simt_efficiency']:.2f}",
-                f"{m['mode_test_fractions']['treelet_stationary']:.3f}",
-            ]
-        )
+        rows.append(_metrics_row_from_dict(scene, base["cycles"], m))
     return {
         "title": f"Per-scene summary (policy {policy})",
         "headers": ["scene"] + _HEADERS[1:],

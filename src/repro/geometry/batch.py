@@ -1,8 +1,9 @@
-"""Warp-granularity batch intersection kernels.
+"""Batch intersection kernels.
 
 These kernels vectorize the *traversal* inner-loop math of
-:mod:`repro.bvh.traversal` so a warp's rays can test their popped BVH
-nodes / leaves in one numpy call instead of one Python call per lane.
+:mod:`repro.bvh.traversal` so a wave of rays can test their popped BVH
+nodes / leaves in one numpy call instead of one Python call per ray (the
+SoA plan builder's wave loop, :mod:`repro.gpusim.soa`).
 
 They are deliberately **bit-identical** to the scalar loops: every
 floating-point operation is performed in the same order and association

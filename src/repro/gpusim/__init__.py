@@ -30,13 +30,7 @@ from repro.gpusim.cache import Cache
 from repro.gpusim.memory import AccessKind, MemorySystem
 from repro.gpusim.energy import EnergyModel, ENERGY_COSTS
 from repro.gpusim.stats import SimStats, TraversalMode
-from repro.gpusim.warp import (
-    SimRay,
-    TraceWarp,
-    batch_kernels_enabled,
-    set_batch_kernels,
-    warp_step,
-)
+from repro.gpusim.warp import SimRay, TraceWarp, warp_step
 from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.soa import set_soa_engine, soa_engine_enabled
 from repro.gpusim.dram import DRAMModel
@@ -56,8 +50,6 @@ __all__ = [
     "TraversalMode",
     "SimRay",
     "TraceWarp",
-    "batch_kernels_enabled",
-    "set_batch_kernels",
     "warp_step",
     "BaselineRTUnit",
     "set_soa_engine",

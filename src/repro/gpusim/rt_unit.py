@@ -59,9 +59,6 @@ class BaselineRTUnit:
         self.stats = stats
         self.cycle = 0.0
         self.cycle_budget = cycle_budget
-        # Build the numpy mirrors of the traversal tables up front so the
-        # vectorized warp step never pays the one-time cost mid-run.
-        bvh.batch_tables()
         self._pending: List = []  # heap of (ready_cycle, seq, warp)
         self._seq = 0
         # Baseline runs have no mode phases; everything is attributed to a

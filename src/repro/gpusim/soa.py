@@ -29,7 +29,7 @@ cache-config combination for the scene, which is where the end-to-end
 speedup comes from.
 
 Plans are cached on the ``SceneBVH`` object itself (a small FIFO keyed
-by render parameters, ``REPRO_SOA_PLAN_CACHE`` entries), so sweeps that
+by render parameters, :data:`PLAN_CACHE_ENTRIES` entries), so sweeps that
 run several policies over one scene build the plan once.
 
 ``REPRO_SOA_ENGINE`` (default on) gates the whole path;
@@ -66,14 +66,6 @@ def set_soa_engine(enabled: bool) -> bool:
 
 def soa_engine_enabled() -> bool:
     return _soa_enabled
-
-
-def plan_cache_entries() -> int:
-    """How many plans to keep per BVH (``REPRO_SOA_PLAN_CACHE``)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SOA_PLAN_CACHE", "4")))
-    except ValueError:
-        return 4
 
 
 class Trace:
@@ -275,6 +267,10 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
 
 _PLAN_CACHE_ATTR = "_soa_plan_cache"
 
+#: Plans kept per BVH.  A sweep over policies and GPU configs reuses one
+#: plan per scene; the headroom covers a few render-parameter variants.
+PLAN_CACHE_ENTRIES = 4
+
 
 def get_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
     """:func:`build_plan`, cached on the BVH object.
@@ -306,6 +302,6 @@ def get_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
         del cache[key]
     plan = build_plan(scene, bvh, setup, seed)
     cache[key] = (weakref.ref(scene), plan)
-    while len(cache) > plan_cache_entries():
+    while len(cache) > PLAN_CACHE_ENTRIES:
         cache.popitem(last=False)
     return plan

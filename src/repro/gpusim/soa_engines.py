@@ -73,10 +73,6 @@ class ReplayState:
 
     __slots__ = ("tr", "p", "n", "ci", "chw", "tail_i", "done", "_ctre")
 
-    # The warp-step batch gate reads ``state.all_hits is None``; replay
-    # engines never call warp_step, but keep the attribute honest.
-    all_hits = None
-
     def __init__(self, tr):
         self.tr = tr
         self.p = 0

@@ -4,54 +4,27 @@ A :class:`SimRay` is one path-tracing ray in flight: its traversal state
 plus identity (pixel, CTA, bounce).  A :class:`TraceWarp` is up to
 ``warp_size`` rays issued together by ``traceRayEXT()``.
 
-:func:`warp_step` is the core timing primitive shared by every RT-unit
-model: advance all unfinished rays of a warp by one BVH item visit, charge
-the slowest ray's memory latency plus the fixed-function intersection
-latency, and record SIMT efficiency.
+:func:`warp_step` is the core timing primitive shared by every scalar
+RT-unit model: advance all unfinished rays of a warp by one BVH item
+visit, charge the slowest ray's memory latency plus the fixed-function
+intersection latency, and record SIMT efficiency.
 
-Two implementations exist behind :func:`warp_step`: the scalar reference
-(one Python call per lane) and a batch path that pops every lane first
-and then slab-tests / Moller-Trumbores all lanes' children and triangles
-in one vectorized kernel call (:mod:`repro.geometry.batch`).  The two are
-bit-identical — same hits, same memory access sequence, same cycle and
-stat accounting — so the selection (``REPRO_BATCH_KERNELS``, default on,
-with a small-warp scalar cutoff) is purely a wall-clock decision.
+It is one :func:`~repro.bvh.traversal.single_step` per lane, in lane
+order.  Batching the intersection math across one warp's lanes gains
+nothing measurable: at most ``warp_size`` lanes cannot amortize a numpy
+kernel call's fixed cost.  The SoA plan builder (:mod:`repro.gpusim.soa`)
+is where the batch kernels run, on bounce-wide groups in the hundreds.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.bvh.traversal import (
-    RayTraversalState,
-    expand_nodes_batch,
-    intersect_leaves_batch,
-    pop_next,
-    single_step,
-)
+from repro.bvh.traversal import RayTraversalState, single_step
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.memory import AccessKind, MemorySystem
 from repro.gpusim.stats import SimStats, TraversalMode
-
-# Below this many active lanes the per-call numpy overhead outweighs the
-# vectorization win; the scalar path is used (results are identical).
-_BATCH_MIN_LANES = 4
-
-_batch_enabled = os.environ.get("REPRO_BATCH_KERNELS", "1") != "0"
-
-
-def set_batch_kernels(enabled: bool) -> bool:
-    """Toggle the vectorized warp-step path; returns the previous value."""
-    global _batch_enabled
-    previous = _batch_enabled
-    _batch_enabled = bool(enabled)
-    return previous
-
-
-def batch_kernels_enabled() -> bool:
-    return _batch_enabled
 
 
 class SimRay:
@@ -121,30 +94,6 @@ def warp_step(
     lane (memory divergence), exactly the RT-unit behaviour the paper's
     SIMT-efficiency argument relies on.
     """
-    if (
-        _batch_enabled
-        and len(rays) >= _BATCH_MIN_LANES
-        and all(r.state.all_hits is None for r in rays)
-    ):
-        return _warp_step_batch(
-            bvh, rays, mem, config, stats, cycle, mode, in_treelet_only
-        )
-    return _warp_step_scalar(
-        bvh, rays, mem, config, stats, cycle, mode, in_treelet_only
-    )
-
-
-def _warp_step_scalar(
-    bvh,
-    rays: List[SimRay],
-    mem: MemorySystem,
-    config: GPUConfig,
-    stats: SimStats,
-    cycle: float,
-    mode: TraversalMode,
-    in_treelet_only: bool,
-) -> Tuple[float, List[SimRay], int]:
-    """Reference implementation: one :func:`single_step` per lane."""
     max_latency = 0.0
     missing_lanes = 0
     misses = 0
@@ -186,84 +135,13 @@ def _warp_step_scalar(
     cost_leaves = step_leaves if gaussian else 0
     if recorder is not None:
         recorder.step(mode, lane_lines, tests=cost_tests, leaf_lanes=cost_leaves)
-    return _finish_step(
-        config, stats, mode, stepped, tests, max_latency, missing_lanes, misses,
+    latency = step_latency(
+        config, len(stepped), max_latency, missing_lanes, misses,
         gaussian_leaf_cycles(config, cost_tests, cost_leaves) if gaussian else 0.0,
     )
-
-
-def _warp_step_batch(
-    bvh,
-    rays: List[SimRay],
-    mem: MemorySystem,
-    config: GPUConfig,
-    stats: SimStats,
-    cycle: float,
-    mode: TraversalMode,
-    in_treelet_only: bool,
-) -> Tuple[float, List[SimRay], int]:
-    """Vectorized implementation: pop all lanes, intersect in two kernels.
-
-    The intersection math has no side effects on the memory model, so
-    hoisting it ahead of the per-lane cache accesses (which stay in lane
-    order) reproduces the scalar path exactly.
-    """
-    entries = []  # (ray, item, is_leaf, local_idx)
-    for ray in rays:
-        popped = pop_next(bvh, ray.state, in_treelet_only=in_treelet_only)
-        if popped is not None:
-            entries.append((ray, popped[0], popped[1], popped[2]))
-    if not entries:
-        return 0.0, [], 0
-
-    node_groups = [
-        (ray.state, local) for ray, _item, is_leaf, local in entries if not is_leaf
-    ]
-    leaf_groups = [
-        (ray.state, local) for ray, _item, is_leaf, local in entries if is_leaf
-    ]
-    if node_groups:
-        expand_nodes_batch(bvh, node_groups)
-    if leaf_groups:
-        intersect_leaves_batch(bvh, leaf_groups)
-
-    max_latency = 0.0
-    missing_lanes = 0
-    misses = 0
-    stepped: List[SimRay] = []
-    tests = 0
-    step_leaves = 0
-    gaussian = getattr(bvh, "prim_kind", "triangle") == "gaussian"
-    item_lines = bvh.item_lines
-    leaf_tris = bvh.leaf_tris
-    recorder = mem.recorder
-    lane_lines = [] if recorder is not None else None
-    for ray, item, is_leaf, local_idx in entries:
-        access_latency, ray_misses = mem.access_lines(
-            item_lines[item], AccessKind.BVH, cycle
-        )
-        max_latency = max(max_latency, access_latency)
-        if ray_misses:
-            missing_lanes += 1
-            misses += ray_misses
-        stepped.append(ray)
-        if lane_lines is not None:
-            lane_lines.append(item_lines[item])
-        if is_leaf:
-            tests += len(leaf_tris[local_idx])
-            step_leaves += 1
-            stats.leaf_visits += 1
-        else:
-            stats.node_visits += 1
-    stats.triangle_tests += tests
-    cost_tests = tests if gaussian else 0
-    cost_leaves = step_leaves if gaussian else 0
-    if recorder is not None:
-        recorder.step(mode, lane_lines, tests=cost_tests, leaf_lanes=cost_leaves)
-    return _finish_step(
-        config, stats, mode, stepped, tests, max_latency, missing_lanes, misses,
-        gaussian_leaf_cycles(config, cost_tests, cost_leaves) if gaussian else 0.0,
-    )
+    stats.record_simt(len(stepped), config.warp_size)
+    stats.record_mode(mode, latency, tests)
+    return latency, stepped, tests
 
 
 def step_latency(
@@ -317,21 +195,3 @@ def gaussian_leaf_cycles(config: GPUConfig, tests: int, leaf_lanes: int) -> floa
         + config.gaussian_blend_cycles * leaf_lanes
     )
 
-
-def _finish_step(
-    config: GPUConfig,
-    stats: SimStats,
-    mode: TraversalMode,
-    stepped: List[SimRay],
-    tests: int,
-    max_latency: float,
-    missing_lanes: int,
-    misses: int,
-    leaf_cycles: float = 0.0,
-) -> Tuple[float, List[SimRay], int]:
-    latency = step_latency(
-        config, len(stepped), max_latency, missing_lanes, misses, leaf_cycles
-    )
-    stats.record_simt(len(stepped), config.warp_size)
-    stats.record_mode(mode, latency, tests)
-    return latency, stepped, tests

@@ -24,11 +24,11 @@ died:
   (:mod:`repro.faults`) are active in the children — the chaos harness
   depends on this.
 
-Results, metric deltas and failure records flow back exactly as in the
-executor path (:func:`repro.experiments.parallel.case_worker_obs`), so
-a supervised sweep is byte-identical to a serial one.  Supervision
-events land in ``repro_resilience_worker_*`` / ``_pool_rebuilds_total``
-/ ``_poisoned_cases_total`` metrics.
+Each worker runs :func:`repro.experiments.parallel.case_worker_obs`, so
+results, metric deltas and failure records flow back exactly as a serial
+sweep produces them, and a supervised sweep is byte-identical to a
+serial one.  Supervision events land in ``repro_resilience_worker_*`` /
+``_pool_rebuilds_total`` / ``_poisoned_cases_total`` metrics.
 """
 
 from __future__ import annotations
@@ -144,6 +144,14 @@ def _worker_main(worker_id: int, heartbeat_path: str, task_q, result_q, context)
 # -- supervisor side ---------------------------------------------------------------
 
 
+def _busy_seconds(delta: Dict) -> float:
+    """Worker busy time recorded in a metrics delta (case wall seconds)."""
+    family = delta.get("repro_case_seconds")
+    if not family:
+        return 0.0
+    return sum(sample["sum"] for sample in family.get("samples", {}).values())
+
+
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
@@ -225,9 +233,8 @@ class SupervisedPool:
         ``on_result(index, (metrics, failure))`` fires as each case
         resolves (the sweep journal hooks in here).  Failure records are
         re-recorded in the parent unless ``record_failures`` is False —
-        identical contracts to the executor path.
+        identical contracts to the serial path.
         """
-        from repro.experiments.parallel import _busy_seconds
         from repro.experiments.runner import CaseFailure, record_failure
         from repro.obs import registry as obs_registry
 
@@ -298,7 +305,7 @@ class SupervisedPool:
         try:
             while unresolved:
                 progressed = self._drain_results(
-                    result_q, resolve, obs_registry, _busy_seconds
+                    result_q, resolve, obs_registry
                 )
                 progressed |= self._reap_crashes(workers, unresolved, retry_or_poison, task_q, result_q)
                 progressed |= self._kill_hung(workers, unresolved, retry_or_poison, task_q, result_q)
@@ -342,7 +349,7 @@ class SupervisedPool:
 
     # -- supervision passes -----------------------------------------------------
 
-    def _drain_results(self, result_q, resolve, obs_registry, busy_fn) -> bool:
+    def _drain_results(self, result_q, resolve, obs_registry) -> bool:
         progressed = False
         while True:
             try:
@@ -352,7 +359,7 @@ class SupervisedPool:
             except queue_mod.Empty:
                 return progressed
             obs_registry().merge_snapshot(obs_delta)
-            self.busy_seconds += busy_fn(obs_delta)
+            self.busy_seconds += _busy_seconds(obs_delta)
             resolve(index, metrics, failure)
             progressed = True
 

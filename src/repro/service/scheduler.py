@@ -2,8 +2,8 @@
 
 The scheduler is the bridge between the serving layer and the existing
 execution machinery: it pops admitted jobs from the
-:class:`repro.service.queue.JobQueue` and dispatches them onto the same
-``ProcessPoolExecutor`` entry point the parallel sweep executor uses
+:class:`repro.service.queue.JobQueue` and dispatches them onto a
+``ProcessPoolExecutor`` running the sweep executor's own case entry point
 (:func:`repro.experiments.parallel.case_worker`), so a served job and a
 CLI sweep case are byte-identical — same cache keys, same quarantine
 behaviour, same stats.

@@ -1,7 +1,11 @@
 """Tests for the design-space sweep utilities."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.config import VTQConfig
+from repro.errors import BudgetExceeded
 from repro.experiments.runner import ExperimentContext
 from repro.experiments import default_context
 from repro.experiments.sweeps import (
@@ -9,6 +13,7 @@ from repro.experiments.sweeps import (
     sweep_scenes,
     sweep_vtq_param,
 )
+from repro.gpusim.budget import CaseBudget
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +41,32 @@ class TestVTQSweep:
     def test_unknown_param_rejected(self, ctx):
         with pytest.raises(ValueError):
             sweep_vtq_param("WKND", ctx, "not_a_field", (1,))
+
+    @pytest.mark.parametrize("scene, param, values", [
+        ("BUNNY", "queue_threshold", (8, 64)),
+        ("GSPL1", "repack_threshold", (8, 22)),
+    ])
+    def test_rows_match_run_cases(self, ctx, scene, param, values):
+        """Each row is priced exactly as the case runner prices that VTQ
+        point, against the case runner's baseline."""
+        from repro.experiments.parallel import CaseSpec, run_cases
+        from repro.experiments.sweeps import _metrics_row_from_dict
+
+        specs = [CaseSpec(scene, "baseline")] + [
+            CaseSpec(scene, "vtq", replace(VTQConfig(), **{param: value}))
+            for value in values
+        ]
+        (base, _failure), *points = run_cases(specs, ctx, jobs=0)
+        table = sweep_vtq_param(scene, ctx, param, values)
+        assert table["rows"] == [
+            _metrics_row_from_dict(str(value), base["cycles"], m)
+            for value, (m, _failure) in zip(values, points)
+        ]
+
+    def test_points_run_under_the_case_budget(self, ctx):
+        tight = replace(ctx, budget=CaseBudget(max_cycles=1.0))
+        with pytest.raises(BudgetExceeded):
+            sweep_vtq_param("WKND", tight, "queue_threshold", (8,))
 
 
 class TestGPUSweep:

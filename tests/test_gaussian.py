@@ -291,16 +291,12 @@ class TestLeafCostReplay:
 
 def test_run_case_metrics_stable_across_engines(ctx):
     from repro.experiments import runner
-    from repro.gpusim import set_batch_kernels
 
     previous = set_soa_engine(False)
-    prev_batch = set_batch_kernels(False)
     try:
         scalar = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
         set_soa_engine(True)
-        set_batch_kernels(True)
         fast = runner.run_case("GSPL2", "vtq", ctx, vtq=None)
     finally:
         set_soa_engine(previous)
-        set_batch_kernels(prev_batch)
     assert json.dumps(scalar, sort_keys=True) == json.dumps(fast, sort_keys=True)

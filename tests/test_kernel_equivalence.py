@@ -1,12 +1,12 @@
 """Batch intersection kernels must be bit-identical to the scalar loops.
 
-The vectorized warp-step path (:mod:`repro.geometry.batch` plus the
-``*_batch`` helpers in :mod:`repro.bvh.traversal`) may interchange with
-the scalar reference mid-simulation, so the contract is exact float
-equality — not approximate agreement.  These tests exercise the kernels
-property-style against scalar re-implementations and against the real
-traversal code on real BVHs, including the awkward inputs: axis-parallel
-rays, degenerate triangles and tight ``t``-window clipping.
+The SoA plan builder's wave loop runs :mod:`repro.geometry.batch`
+through the ``*_batch`` helpers in :mod:`repro.bvh.traversal`, and the
+scalar engines it must match run the scalar loops, so the contract is
+exact float equality — not approximate agreement.  These tests exercise
+the kernels property-style against scalar re-implementations and against
+the real traversal code on real BVHs, including the awkward inputs:
+axis-parallel rays, degenerate triangles and tight ``t``-window clipping.
 """
 
 import numpy as np
@@ -452,7 +452,7 @@ def _rays_into(bvh, n, seed):
 
 
 def _drain(bvh, states, use_batch, min_groups):
-    """Run all states to completion, warp-step style."""
+    """Run all states to completion, one item visit per state per round."""
     if use_batch:
         original_nodes = tv.BATCH_MIN_NODE_GROUPS
         original_leaves = tv.BATCH_MIN_LEAF_GROUPS
@@ -490,7 +490,7 @@ def _drain(bvh, states, use_batch, min_groups):
 @pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
 @pytest.mark.parametrize("min_groups", [0, 1_000_000])
 class TestTraversalEquivalence:
-    """Full traversals agree exactly between scalar and batch warp steps.
+    """Full traversals agree exactly between scalar and batch stepping.
 
     ``min_groups=0`` forces every group through the numpy kernels;
     ``min_groups=1_000_000`` forces the scalar fallback inside the batch
@@ -525,7 +525,7 @@ class TestTraversalEquivalence:
 @pytest.mark.parametrize("order", [TraversalOrder.DEPTH_FIRST, TraversalOrder.TREELET])
 @pytest.mark.parametrize("min_groups", [0, 1_000_000])
 class TestGaussianTraversalEquivalence:
-    """Splat traversals agree exactly between scalar and batch warp steps.
+    """Splat traversals agree exactly between scalar and batch stepping.
 
     Same contract as :class:`TestTraversalEquivalence`, over a BVH whose
     leaves hold gaussian rows instead of triangles — ``single_step``
@@ -560,52 +560,3 @@ class TestGaussianTraversalEquivalence:
             assert a.triangle_tests == b.triangle_tests
             assert a.culled == b.culled
 
-
-def test_end_to_end_render_identical():
-    """A full simulated render is byte-identical scalar vs batch."""
-    import json
-
-    from repro.experiments import runner
-    from repro.gpusim import set_batch_kernels
-
-    context = runner.default_context(fast=True)
-    context = runner.ExperimentContext(
-        setup=context.setup,
-        scene_list=context.scene_list,
-        use_disk_cache=False,
-        budget=context.budget,
-        sanitize=context.sanitize,
-    )
-    previous = set_batch_kernels(False)
-    try:
-        scalar = runner.run_case("BUNNY", "sorted", context, vtq=None)
-        set_batch_kernels(True)
-        batch = runner.run_case("BUNNY", "sorted", context, vtq=None)
-    finally:
-        set_batch_kernels(previous)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(batch, sort_keys=True)
-
-
-def test_end_to_end_gaussian_render_identical():
-    """A full simulated splat render is byte-identical scalar vs batch."""
-    import json
-
-    from repro.experiments import runner
-    from repro.gpusim import set_batch_kernels
-
-    context = runner.default_context(fast=True)
-    context = runner.ExperimentContext(
-        setup=context.setup,
-        scene_list=context.scene_list,
-        use_disk_cache=False,
-        budget=context.budget,
-        sanitize=context.sanitize,
-    )
-    previous = set_batch_kernels(False)
-    try:
-        scalar = runner.run_case("GSPL1", "baseline", context, vtq=None)
-        set_batch_kernels(True)
-        batch = runner.run_case("GSPL1", "baseline", context, vtq=None)
-    finally:
-        set_batch_kernels(previous)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(batch, sort_keys=True)

@@ -116,12 +116,14 @@ class TestRunCases:
             assert metrics["policy"] == spec.policy
 
     def test_jobs_zero_never_creates_a_pool(self, ctx, monkeypatch):
-        import repro.experiments.parallel as parallel
+        import repro.resilience as resilience
 
         def poisoned_pool(*args, **kwargs):
-            raise AssertionError("jobs=0 must not create a ProcessPoolExecutor")
+            raise AssertionError("jobs=0 must not create a SupervisedPool")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", poisoned_pool)
+        # _run_supervised imports SupervisedPool at call time, so the
+        # poison reaches it.
+        monkeypatch.setattr(resilience, "SupervisedPool", poisoned_pool)
         results = run_cases(
             [CaseSpec("BUNNY", "baseline")], _fast_nocache(ctx), jobs=0
         )

@@ -4,10 +4,11 @@
 Times a fixed sweep of fast-scene cases through four phases —
 
 * ``bvh_build``      — cold scene + BVH construction per scene,
-* ``kernel``         — warp-inner-loop intersection math, scalar loops vs
-                       the vectorized batch kernels, at several batch sizes,
+* ``kernel``         — traversal inner-loop intersection math, scalar
+                       loops vs the vectorized batch kernels, at several
+                       batch sizes,
 * ``serial_sweep``   — the case list end-to-end in one process (scalar
-                       kernels vs batch kernels vs the SoA replay engine),
+                       engines vs the SoA replay engine),
 * ``soa_sweep``      — the SoA engine's end-to-end speedup over the
                        scalar engines on the same serial sweep,
 * ``parallel_sweep`` — the same list through the parallel executor
@@ -27,7 +28,8 @@ Times a fixed sweep of fast-scene cases through four phases —
                        the policy table reports,
 
 and writes ``BENCH_<date>.json`` with per-phase wall time, cases/sec and
-speedups (batch vs scalar, parallel vs serial, replay vs live).  Run
+speedups (batch kernels vs scalar loops, SoA vs scalar, parallel vs
+serial, replay vs live).  Run
 from the repository root:
 
     PYTHONPATH=src python tools/bench.py --fast
@@ -59,7 +61,7 @@ from repro.geometry.batch import (  # noqa: E402
     intersect_tri_batch,
     safe_inverse,
 )
-from repro.gpusim import set_batch_kernels, set_soa_engine  # noqa: E402
+from repro.gpusim import set_soa_engine  # noqa: E402
 
 
 def _case_list(fast: bool):
@@ -172,11 +174,11 @@ def _best_of(fn, reps):
 
 
 def bench_kernels(reps=5):
-    """Scalar loops vs batch kernels on the warp-inner-loop math.
+    """Scalar loops vs batch kernels on the traversal inner-loop math.
 
-    Sizes cover one warp popping 4-wide nodes (128 pairings) up to a
-    node-table-sized gather: this is the speedup the vectorized warp
-    step taps, isolated from the memory/timing model around it.
+    Sizes cover a small wave of popped 4-wide nodes (128 pairings) up to
+    a node-table-sized gather: this is the speedup the SoA plan builder's
+    wave loop taps, isolated from the memory/timing model around it.
     """
     rng = np.random.default_rng(42)
     out = {}
@@ -222,13 +224,13 @@ def bench_kernels(reps=5):
 
 
 def bench_serial(context, specs, reps):
-    """The sweep in-process: scalar kernels, batch kernels, SoA replay.
+    """The sweep in-process: scalar engines, then SoA replay.
 
-    All three labels produce bit-identical results (enforced by
-    tests/test_kernel_equivalence.py and tests/test_soa_engine.py); only
-    wall clock differs.  The "soa" label is the steady-state replay rate
-    — the warm-up sweep builds the render plans, so best-of reps measures
-    plan reuse, which is how sweeps amortize the plan cost in practice.
+    Both labels produce bit-identical results (enforced by
+    tests/test_soa_engine.py); only wall clock differs.  The "soa" label
+    is the steady-state replay rate — the warm-up sweep builds the render
+    plans, so best-of reps measures plan reuse, which is how sweeps
+    amortize the plan cost in practice.
     """
     nocache = _nocache(context)
 
@@ -238,23 +240,16 @@ def bench_serial(context, specs, reps):
 
     sweep()  # warm the per-process scene cache (and the SoA plan cache)
     out = {}
-    for label, batch, soa in (
-        ("scalar", False, False),
-        ("batch", True, False),
-        ("soa", True, True),
-    ):
-        prev_batch = set_batch_kernels(batch)
+    for label, soa in (("scalar", False), ("soa", True)):
         prev_soa = set_soa_engine(soa)
         try:
             elapsed = _best_of(sweep, reps)
         finally:
-            set_batch_kernels(prev_batch)
             set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
             "cases_per_s": len(specs) / elapsed,
         }
-    out["batch_speedup"] = out["scalar"]["wall_s"] / out["batch"]["wall_s"]
     out["soa_speedup"] = out["scalar"]["wall_s"] / out["soa"]["wall_s"]
     return out
 
@@ -460,13 +455,11 @@ def bench_gaussian_sweep(context, reps):
         out["vtq_speedup"][scene] = (
             cycles["baseline"] / cycles["vtq"] if cycles["vtq"] else 0.0
         )
-    for label, batch, soa in (("scalar", False, False), ("soa", True, True)):
-        prev_batch = set_batch_kernels(batch)
+    for label, soa in (("scalar", False), ("soa", True)):
         prev_soa = set_soa_engine(soa)
         try:
             elapsed = _best_of(sweep, reps)
         finally:
-            set_batch_kernels(prev_batch)
             set_soa_engine(prev_soa)
         out[label] = {
             "wall_s": elapsed,
@@ -529,8 +522,6 @@ def main(argv=None):
     phases["serial_sweep"] = bench_serial(context, specs, args.reps)
     serial = phases["serial_sweep"]
     print(f"  serial_sweep: scalar {serial['scalar']['wall_s']:.2f}s, "
-          f"batch {serial['batch']['wall_s']:.2f}s "
-          f"({serial['batch_speedup']:.2f}x), "
           f"soa {serial['soa']['wall_s']:.2f}s "
           f"({serial['soa_speedup']:.2f}x)")
     # The SoA engine's headline number gets its own phase entry so CI can
@@ -550,7 +541,7 @@ def main(argv=None):
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
               "(speedup n/a on a single-cpu host)")
     else:
-        par["speedup_vs_serial"] = serial["batch"]["wall_s"] / par["wall_s"]
+        par["speedup_vs_serial"] = serial["soa"]["wall_s"] / par["wall_s"]
         print(f"  parallel_sweep: {par['wall_s']:.2f}s with {jobs} jobs "
               f"({par['speedup_vs_serial']:.2f}x vs serial)")
     phases["memtrace_replay"] = bench_memtrace_replay(context, args.reps)
