@@ -13,6 +13,10 @@ Pipeline (mirroring the paper's methodology section):
 5. :mod:`repro.bvh.traversal` provides the functional traversal reference
    and the two-stack treelet traversal order (Chou et al., MICRO 2023) used
    by every timing model.
+
+:func:`build_scene_bvh` runs steps 1-4 and is the only builder.  From a
+scene name, :func:`repro.experiments.runner.scene_and_bvh` builds and
+caches it.
 """
 
 from repro.bvh.builder import BinaryBVH, BuildConfig, build_binary_bvh
@@ -21,7 +25,6 @@ from repro.bvh.treelets import TreeletPartition, partition_treelets
 from repro.bvh.layout import BVHLayout, LayoutConfig, build_layout
 from repro.bvh.compressed import CompressedLeafCodec
 from repro.bvh.scene_bvh import SceneBVH, build_scene_bvh
-from repro.bvh.lbvh import build_scene_bvh_lbvh
 from repro.bvh.refit import refit_scene_bvh
 from repro.bvh.serialize import load_scene_bvh, save_scene_bvh
 from repro.bvh.stats import describe
@@ -48,7 +51,6 @@ __all__ = [
     "CompressedLeafCodec",
     "SceneBVH",
     "build_scene_bvh",
-    "build_scene_bvh_lbvh",
     "refit_scene_bvh",
     "save_scene_bvh",
     "load_scene_bvh",

@@ -29,7 +29,16 @@ FORMAT_VERSION = 2
 
 
 def save_scene_bvh(bvh: SceneBVH, path: Union[str, Path]) -> None:
-    """Serialize ``bvh`` (mesh + wide BVH + partition + layout) to ``path``."""
+    """Serialize ``bvh`` (mesh + wide BVH + partition + layout) to ``path``.
+
+    Only triangle meshes are stored; a Gaussian-splat BVH raises
+    :class:`BVHError` before anything is written.
+    """
+    if not isinstance(bvh.mesh, TriangleMesh):
+        raise BVHError(
+            f"cannot save a BVH over {type(bvh.mesh).__name__}: the format "
+            "stores triangle meshes only"
+        )
     layout_config = bvh.layout.config
     # Treelet member lists are ragged; store flattened + offsets.
     member_offsets = np.zeros(bvh.partition.treelet_count + 1, dtype=np.int64)

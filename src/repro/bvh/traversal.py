@@ -613,23 +613,3 @@ def full_traverse(
         pass
     return state.hit_record()
 
-
-def trace_access_sequence(
-    bvh,
-    origin,
-    direction,
-    tmin: float = 1e-4,
-    order: TraversalOrder = TraversalOrder.TREELET,
-) -> Tuple[HitRecord, List[Tuple[int, bool]]]:
-    """Traverse and also record the (item, is_leaf) visit sequence.
-
-    The analytical model of Section 2.4 consumes these sequences.
-    """
-    state = init_traversal(bvh, origin, direction, tmin, order)
-    visits: List[Tuple[int, bool]] = []
-    while True:
-        step = single_step(bvh, state)
-        if step is None:
-            break
-        visits.append((step[0], step[1]))
-    return state.hit_record(), visits

@@ -33,9 +33,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.bvh import build_scene_bvh
 from repro.gpusim.config import default_setup
-from repro.scenes import load_scene, scene_names, scene_spec
+from repro.scenes import scene_names, scene_spec
 from repro.tracing import render_scene
 from repro.tracing.image import tonemap, write_ppm
 
@@ -73,9 +72,10 @@ def cmd_scenes(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from repro.experiments.runner import scene_and_bvh
+
     setup = default_setup()
-    scene = load_scene(args.scene, scale=setup.scene_scale)
-    bvh = build_scene_bvh(scene.mesh, treelet_budget_bytes=setup.gpu.treelet_bytes)
+    scene, bvh = scene_and_bvh(args.scene, setup)
     if args.record_trace:
         from repro.errors import TraceError
         from repro.memtrace import RECORDABLE_POLICIES, save_trace
@@ -111,9 +111,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.experiments.runner import scene_and_bvh
+
     setup = default_setup()
-    scene = load_scene(args.scene, scale=setup.scene_scale)
-    bvh = build_scene_bvh(scene.mesh, treelet_budget_bytes=setup.gpu.treelet_bytes)
+    scene, bvh = scene_and_bvh(args.scene, setup)
     baseline = None
     print(f"{'policy':9s} {'cycles':>14s} {'speedup':>8s} {'SIMT':>6s} {'L1 miss':>8s}")
     for policy in ("baseline", "prefetch", "vtq"):
@@ -320,11 +321,9 @@ def cmd_sweep(args) -> int:
     from repro.experiments.sweeps import sweep_gpu_param, sweep_vtq_param
 
     context = default_context(fast=args.fast)
-    values = []
-    for token in args.values.split(","):
-        token = token.strip()
-        values.append(float(token) if "." in token else int(token))
     try:
+        values = [_parse_value(token, f"{args.param} value")
+                  for token in args.values.split(",")]
         if args.target == "vtq":
             table = sweep_vtq_param(args.scene, context, args.param, values)
         else:
@@ -336,22 +335,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _parse_value(token: str, what: str):
+    """One sweep or ``--set`` value: ``True``/``False``, an int or a float.
+
+    Anything else raises ``ValueError`` naming ``what`` and the token.
+    """
+    token = token.strip()
+    if token in ("True", "False"):
+        return token == "True"
+    try:
+        return float(token) if "." in token or "e" in token.lower() else int(token)
+    except ValueError:
+        raise ValueError(
+            f"{what}: {token!r} is not True, False or a number"
+        ) from None
+
+
 # -- memory-trace verbs (docs/MEMTRACE.md) ------------------------------------
 
 
 def _parse_overrides(tokens) -> List:
-    """``--set field=value`` pairs → [(field, value), ...]; numbers typed."""
+    """``--set field=value`` pairs → [(field, value), ...]; values typed."""
     pairs = []
     for token in tokens or []:
         field, sep, raw = token.partition("=")
         if not sep or not field:
             raise ValueError(f"--set wants field=value, got {token!r}")
-        raw = raw.strip()
-        try:
-            value = float(raw) if "." in raw or "e" in raw.lower() else int(raw)
-        except ValueError:
-            raise ValueError(f"--set {field}: {raw!r} is not a number")
-        pairs.append((field, value))
+        pairs.append((field, _parse_value(raw, f"--set {field}")))
     return pairs
 
 
@@ -931,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("param", help="e.g. queue_threshold or l1_bytes")
     p.add_argument("values", help="comma-separated, e.g. 8,32,128")
     p.add_argument("--scene", default="SPNZA",
-                   choices=scene_names(include_extra=True))
+                   choices=scene_names(include_extra=True, include_gaussian=True))
     p.add_argument("--fast", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -939,7 +949,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pareto",
         help="surrogate-price a cache x queue grid; verified Pareto frontier",
     )
-    p.add_argument("scene", choices=scene_names(include_extra=True))
+    p.add_argument("scene",
+                   choices=scene_names(include_extra=True, include_gaussian=True))
     p.add_argument("--policy", default="vtq",
                    choices=("baseline", "prefetch", "sorted", "vtq"))
     p.add_argument("--baseline", default="baseline", metavar="POLICY",
@@ -1041,12 +1052,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spool", default=None, metavar="DIR",
                    help="job spool directory (default: REPRO_SERVICE_SPOOL)")
     p.add_argument("--jobs", type=_jobs_arg, default=None,
-                   help="worker pool size (0 = serial, no pool)")
+                   help="worker pool size (default: REPRO_JOBS or CPU "
+                        "count; 0 = serial, no pool)")
     p.add_argument("--queue-max", type=int, default=None,
-                   help="queue depth bound (default REPRO_SERVICE_QUEUE_MAX)")
+                   help="queue depth bound (default 64)")
     p.add_argument("--tenant-max", type=int, default=None,
-                   help="per-tenant queued-job quota "
-                        "(default REPRO_SERVICE_TENANT_MAX; 0 = unlimited)")
+                   help="per-tenant queued-job quota (default and 0: "
+                        "unlimited)")
     p.add_argument("--join", default=None, metavar="HOST:PORT",
                    help="run as a worker node: register with this head "
                         "server and heartbeat (needs a TCP --socket)")

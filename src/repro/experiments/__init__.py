@@ -47,7 +47,7 @@ from repro.experiments.figures import (
     table1_configuration,
     table2_scenes,
 )
-from repro.experiments.report import format_failures, format_table, render_all
+from repro.experiments.report import format_failures, format_table
 
 __all__ = [
     "CaseFailure",
@@ -80,5 +80,4 @@ __all__ = [
     "table2_scenes",
     "sec65_area_overheads",
     "format_table",
-    "render_all",
 ]

@@ -77,10 +77,6 @@ def vtq_default(context: ExperimentContext) -> VTQConfig:
     return VTQConfig().scaled_to(population)
 
 
-#: Back-compat alias — the sweep surrogate and bench import the public name.
-_vtq_default = vtq_default
-
-
 # ---------------------------------------------------------------------------
 # Figure 1: baseline bottlenecks
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Union
+from typing import Dict, List, Union
 
 
 def format_table(result: Dict) -> str:
@@ -54,22 +54,6 @@ def format_failures(failures: List) -> str:
             progress = ", ".join(f"{k}={v}" for k, v in sorted(f.partial.items()))
             lines.append(f"    partial progress: {progress}")
     return "\n".join(lines)
-
-
-def render_all(context, figures: List[Callable]) -> str:
-    """Run and render a list of figure functions into one report string.
-
-    Quarantined cases recorded during the run are summarized at the end.
-    """
-    from repro.experiments.runner import failures
-
-    sections = []
-    for fig in figures:
-        sections.append(format_table(fig(context)))
-    summary = format_failures(failures())
-    if summary:
-        sections.append(summary)
-    return ("\n\n" + "=" * 72 + "\n\n").join(sections)
 
 
 def to_csv(result: Dict) -> str:

@@ -19,7 +19,7 @@ Robustness:
   :class:`CaseFailure` so a multi-case sweep completes with the failure
   marked instead of aborting; :func:`failures` lists what went wrong.
 * The per-process scene/BVH cache is LRU-bounded
-  (``REPRO_SCENE_CACHE_ENTRIES``, default 8) so long sweeps over many
+  (:data:`SCENE_CACHE_ENTRIES` pairs) so long sweeps over many
   scene/scale combinations don't grow memory without limit.
 * The disk cache is safe under concurrent sweep workers: a per-case
   ``flock`` claim file serializes compute-and-write per key, so two
@@ -116,36 +116,32 @@ def default_context(fast: bool = False) -> ExperimentContext:
 
 # -- scene/BVH construction is cached per process (LRU-bounded) --------------------
 
+# Scene/BVH pairs kept per process; the least recently used goes first.
+SCENE_CACHE_ENTRIES = 8
+
 _scene_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
-
-
-def _scene_cache_limit() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_SCENE_CACHE_ENTRIES", "8")))
-    except ValueError:
-        return 8
 
 
 def scene_and_bvh(name: str, setup: ScaledSetup):
     """The (Scene, SceneBVH) pair for a case, built once per process.
 
-    The cache holds at most ``REPRO_SCENE_CACHE_ENTRIES`` (default 8)
-    pairs, evicting least-recently-used, so sweeps over many scene/scale
-    combinations stay memory-bounded.
+    This is the one path from a scene name and a setup to a BVH.  The
+    cache key holds the very arguments passed to ``build_scene_bvh``, so
+    the key and the build cannot disagree.  At most
+    :data:`SCENE_CACHE_ENTRIES` pairs are kept, so sweeps over many
+    scene/scale combinations stay memory-bounded.
     """
-    key = (name, setup.scene_scale, setup.gpu.treelet_bytes, setup.gpu.line_bytes)
+    build_args = dict(
+        layout_config=LayoutConfig(line_bytes=setup.gpu.line_bytes),
+        treelet_budget_bytes=setup.gpu.treelet_bytes,
+    )
+    key = (name, setup.scene_scale, tuple(sorted(build_args.items())))
     if key in _scene_cache:
         _scene_cache.move_to_end(key)
         return _scene_cache[key]
     scene = load_scene(name, scale=setup.scene_scale)
-    bvh = build_scene_bvh(
-        scene.mesh,
-        layout_config=LayoutConfig(line_bytes=setup.gpu.line_bytes),
-        treelet_budget_bytes=setup.gpu.treelet_bytes,
-    )
-    _scene_cache[key] = (scene, bvh)
-    limit = _scene_cache_limit()
-    while len(_scene_cache) > limit:
+    _scene_cache[key] = (scene, build_scene_bvh(scene.mesh, **build_args))
+    while len(_scene_cache) > SCENE_CACHE_ENTRIES:
         _scene_cache.popitem(last=False)
     return _scene_cache[key]
 
@@ -250,19 +246,25 @@ def _observe_case(scene: str, policy: str, source: str, seconds: float) -> None:
     ).labels(**labels).observe(seconds)
 
 
-def _trace_cache(event: str, key: str) -> None:
-    """Append one ``EVENT <key>`` line to the ``REPRO_CACHE_TRACE`` log.
-
-    ``O_APPEND`` keeps concurrent writers' lines intact, so the log is a
-    faithful record of which process hit and which computed.  The same
-    events also feed the ``repro_cache_events_total`` metric, which works
-    without any trace log configured.
-    """
-    obs_registry().counter(
+def cache_events():
+    """The ``repro_cache_events_total`` counter family (``event`` label:
+    ``hit`` = replayed from disk, ``compute`` = simulated)."""
+    return obs_registry().counter(
         "repro_cache_events_total",
         "Disk result-cache events (HIT = replayed, COMPUTE = simulated)",
         ("event",),
-    ).labels(event=event.lower()).inc()
+    )
+
+
+def _trace_cache(event: str, key: str) -> None:
+    """Count one cache event; append ``EVENT <key>`` to ``REPRO_CACHE_TRACE``.
+
+    The ``repro_cache_events_total`` metric counts every event.  The
+    optional audit log is a per-key record: ``O_APPEND`` keeps
+    concurrent writers' lines intact, so it shows which process hit and
+    which computed.
+    """
+    cache_events().labels(event=event.lower()).inc()
     path = os.environ.get("REPRO_CACHE_TRACE")
     if not path:
         return

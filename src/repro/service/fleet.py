@@ -12,7 +12,7 @@ a worker (`repro serve --join <head>`) registers itself, then beats
 every ``REPRO_SERVICE_HEARTBEAT_S`` under the client's
 :class:`~repro.resilience.RetryPolicy`.  A node whose last beat is older
 than ``REPRO_SERVICE_NODE_TTL_S`` stops receiving work; older than
-``REPRO_SERVICE_NODE_EXPIRE_S`` and it is dropped from the registry.
+:data:`NODE_EXPIRE_S` and it is dropped from the registry.
 An unknown node's heartbeat is answered with a typed error telling it to
 re-register (the head may have restarted and lost the registry — it is
 deliberately in-memory; the *jobs* are what the spool makes durable).
@@ -60,6 +60,14 @@ from repro.service.jobs import Job
 #: Reason tag for "the fleet has no live node to run this".
 NO_NODE = "no-node"
 
+# A node silent this long is dropped from the registry.
+NODE_EXPIRE_S = 60.0
+# A node's circuit opens after this many consecutive transport failures,
+# tighter than the scene breaker's 3: a node that dropped two dispatches
+# in a row is almost certainly down, and the router has other nodes.
+NODE_BREAKER_THRESHOLD = 2
+NODE_BREAKER_COOLDOWN_S = 15.0
+
 
 @dataclass
 class WorkerNode:
@@ -105,12 +113,10 @@ class FleetRegistry:
         expire_s: Optional[float] = None,
     ):
         self.ttl_s = ttl_s if ttl_s is not None else protocol.node_ttl_s()
-        self.expire_s = (
-            expire_s if expire_s is not None else protocol.node_expire_s()
-        )
+        self.expire_s = expire_s if expire_s is not None else NODE_EXPIRE_S
         self.breakers = breakers if breakers is not None else BreakerBoard(
-            failure_threshold=protocol.node_breaker_threshold(),
-            cooldown_s=protocol.node_breaker_cooldown(),
+            failure_threshold=NODE_BREAKER_THRESHOLD,
+            cooldown_s=NODE_BREAKER_COOLDOWN_S,
             subject="node",
         )
         self._nodes: Dict[str, WorkerNode] = {}

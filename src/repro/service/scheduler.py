@@ -29,7 +29,7 @@ What the serving layer adds on top:
   (:func:`repro.experiments.runner.record_failure`).
 * **Per-scene circuit breakers** — a scene whose jobs keep failing
   trips its :class:`repro.resilience.CircuitBreaker`
-  (``REPRO_SERVICE_BREAKER_THRESHOLD`` consecutive failures): further
+  (:data:`BREAKER_THRESHOLD` consecutive failures): further
   jobs for that scene fail fast with a typed ``CircuitOpen`` error
   carrying a ``retry_after_s`` hint instead of burning pool slots,
   until a cooldown probe succeeds.  The server also consults the
@@ -62,13 +62,17 @@ from repro.obs import diff_snapshots, registry as obs_registry
 from repro.gpusim.budget import merge_wall_budget
 from repro.resilience import BreakerBoard, RetryPolicy
 from repro.service import jobs as jobstates
-from repro.service import protocol
 from repro.service.fleet import FleetRegistry, dispatch_remote
 from repro.service.jobs import Job, JobStore
 from repro.service.queue import JobQueue
 from repro.service.resultcache import ResultCache, result_key
 
 logger = logging.getLogger("repro.service.scheduler")
+
+# A scene's circuit opens after this many consecutive failures and
+# admits a probe after the cooldown.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 30.0
 
 # Failure types that are evidence about the *transport/fleet*, not the
 # scene: they feed the per-node breakers (in _execute_remote) and must
@@ -146,8 +150,7 @@ class Scheduler:
         self.retries = retries
         self.worker_fn = worker_fn
         self.breakers = breakers if breakers is not None else BreakerBoard(
-            failure_threshold=protocol.breaker_threshold(),
-            cooldown_s=protocol.breaker_cooldown(),
+            failure_threshold=BREAKER_THRESHOLD, cooldown_s=BREAKER_COOLDOWN_S
         )
         # Crash retry under the unified policy: `retries` extra attempts
         # with jittered backoff, tightened per job to its wall budget.

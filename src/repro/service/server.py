@@ -39,9 +39,8 @@ content-addressed result cache without dispatching at all
 
 On start the server re-adopts spooled jobs (``queued`` as-is; orphaned
 ``running`` jobs reset to ``queued``) so a restart never loses admitted
-work.  Cache hit/compute counters come from the runner's
-``REPRO_CACHE_TRACE`` audit log, which the server points into its spool
-directory unless the operator already routed it elsewhere.
+work.  The ``health`` cache hit/compute counters are read from the
+``repro_cache_events_total`` metric and count from the server's start.
 """
 
 from __future__ import annotations
@@ -56,7 +55,12 @@ from typing import Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import AdmissionRejected, ServiceError
-from repro.experiments.runner import ExperimentContext, default_context
+from repro.experiments.parallel import jobs_from_env
+from repro.experiments.runner import (
+    ExperimentContext,
+    cache_events,
+    default_context,
+)
 from repro.obs import registry as obs_registry
 from repro.scenes import scene_names
 from repro.service import protocol
@@ -75,6 +79,12 @@ from repro.tracing.render import POLICIES
 
 logger = logging.getLogger("repro.service.server")
 
+# Admission and crash-retry limits (``repro serve --queue-max`` overrides
+# the queue depth).
+QUEUE_MAX = 64
+CLIENT_MAX = 32
+RETRIES = 1
+
 
 class SimulationServer:
     """One long-lived simulation-serving process."""
@@ -86,9 +96,7 @@ class SimulationServer:
         endpoint: Optional[protocol.Endpoint] = None,
         jobs: Optional[int] = None,
         queue_max: Optional[int] = None,
-        client_max: Optional[int] = None,
         tenant_max: Optional[int] = None,
-        retries: Optional[int] = None,
         fast: bool = False,
         node_id: Optional[str] = None,
         join: Optional[str] = None,
@@ -99,21 +107,13 @@ class SimulationServer:
         self.endpoint = (
             endpoint if endpoint is not None else protocol.resolve_endpoint()
         )
-        self.jobs = jobs if jobs is not None else protocol.service_jobs()
-        # Route the runner's cache audit log into the spool so `health`
-        # can report hit rates; an operator-set path wins.
-        os.environ.setdefault(
-            "REPRO_CACHE_TRACE", str(self.spool / "cache_trace.log")
-        )
+        self.jobs = jobs if jobs is not None else jobs_from_env()
         self.store = JobStore(self.spool / "jobs")
         self.queue = JobQueue(
-            max_depth=queue_max if queue_max is not None else protocol.queue_max(),
-            per_client_max=(
-                client_max if client_max is not None else protocol.client_max()
-            ),
-            per_tenant_max=(
-                tenant_max if tenant_max is not None else protocol.tenant_max()
-            ),
+            max_depth=queue_max if queue_max is not None else QUEUE_MAX,
+            per_client_max=CLIENT_MAX,
+            # 0 or None: no per-tenant quota.
+            per_tenant_max=tenant_max or None,
         )
         # Worker mode: `--join <head>` makes this server register itself
         # with a head server and heartbeat; the head routes jobs here.
@@ -134,7 +134,7 @@ class SimulationServer:
             self.queue,
             self.context,
             jobs=self.jobs,
-            retries=retries if retries is not None else protocol.retries(),
+            retries=RETRIES,
             fleet=self.fleet,
             result_cache=self.result_cache,
         )
@@ -144,6 +144,7 @@ class SimulationServer:
         self._stop_event: Optional[asyncio.Event] = None
         self._conn_tasks: set = set()
         self._heartbeat_task: Optional[asyncio.Task] = None
+        self._cache_base = {"hit": 0.0, "compute": 0.0}
         self.adopted = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -172,6 +173,7 @@ class SimulationServer:
                 self._handle_client, path=str(path)
             )
         self.started_at = time.time()
+        self._cache_base = _cache_event_counts()
         self.scheduler.kick()
         if self.join:
             self._heartbeat_task = asyncio.get_running_loop().create_task(
@@ -690,7 +692,7 @@ class SimulationServer:
             adopted=self.adopted,
             dispatched=len(self.scheduler.dispatch_log),
             breakers=self.scheduler.breakers.snapshot(),
-            cache=_cache_counters(),
+            cache=self._cache_stats(),
             dedupe={
                 "enabled": dedupe_enabled(),
                 "entries": len(self.result_cache),
@@ -701,6 +703,22 @@ class SimulationServer:
                 time.time() - self.started_at if self.started_at else 0.0
             ),
         )
+
+    def _cache_stats(self) -> Dict:
+        """Disk result-cache hits and computes since :meth:`start`.
+
+        Pool workers ship their ``repro_cache_events_total`` deltas home
+        with each case, so this process's registry sees every event.
+        """
+        now = _cache_event_counts()
+        hits = int(now["hit"] - self._cache_base["hit"])
+        computes = int(now["compute"] - self._cache_base["compute"])
+        total = hits + computes
+        return {
+            "hits": hits,
+            "computes": computes,
+            "hit_rate": hits / total if total else 0.0,
+        }
 
     # -- metrics (docs/OBSERVABILITY.md) ---------------------------------------
 
@@ -729,11 +747,10 @@ class SimulationServer:
         )
         for state, count in self.store.counts().items():
             jobs_by_state.labels(state=state).set(count)
-        cache = _cache_counters()
         reg.gauge(
             "repro_service_cache_hit_rate",
-            "Disk result-cache hit rate observed via REPRO_CACHE_TRACE",
-        ).labels().set(cache["hit_rate"])
+            "Disk result-cache hit rate since the server started",
+        ).labels().set(self._cache_stats()["hit_rate"])
         if self.fleet is not None:
             reg.gauge(
                 "repro_service_fleet_nodes", "Registered worker nodes"
@@ -928,23 +945,8 @@ class SimulationServer:
         await writer.drain()
 
 
-def _cache_counters() -> Dict:
-    """Hit/compute counts from the runner's ``REPRO_CACHE_TRACE`` log."""
-    path = os.environ.get("REPRO_CACHE_TRACE")
-    hits = computes = 0
-    if path and os.path.exists(path):
-        try:
-            with open(path) as handle:
-                for line in handle:
-                    if line.startswith("HIT "):
-                        hits += 1
-                    elif line.startswith("COMPUTE "):
-                        computes += 1
-        except OSError:  # pragma: no cover - audit log is best-effort
-            pass
-    total = hits + computes
-    return {
-        "hits": hits,
-        "computes": computes,
-        "hit_rate": hits / total if total else 0.0,
-    }
+def _cache_event_counts() -> Dict[str, float]:
+    """Disk result-cache hits and computes this process has counted."""
+    events = cache_events()
+    return {event: events.labels(event=event).value
+            for event in ("hit", "compute")}

@@ -81,3 +81,15 @@ class TestRoundTrip:
             unit.submit(TraceWarp(make_sim_rays(bvh, 32, seed=93), 0))
             cycles.append(unit.run())
         assert cycles[0] == cycles[1]
+
+
+def test_splat_bvh_save_is_refused_with_a_typed_error(tmp_path):
+    """The format stores triangle meshes; a splat BVH must not half-write."""
+    from repro.errors import BVHError
+    from repro.scenes.gaussians import GAUSSIAN_SCENES, build_gaussian_set
+
+    bvh = build_scene_bvh(build_gaussian_set(GAUSSIAN_SCENES[0], scale=0.3))
+    path = tmp_path / "splat.npz"
+    with pytest.raises(BVHError, match="GaussianSet"):
+        save_scene_bvh(bvh, path)
+    assert not path.exists()

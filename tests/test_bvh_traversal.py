@@ -15,7 +15,6 @@ from repro.bvh import (
     init_traversal,
     single_step,
 )
-from repro.bvh.traversal import trace_access_sequence
 from repro.geometry import rays_triangle_soup_intersect
 
 from tests.conftest import grid_mesh, quad_mesh, random_soup
@@ -98,15 +97,6 @@ class TestStepMechanics:
             if rec.hit:
                 assert rec.leaf_visits >= 1
                 assert rec.triangle_tests >= 1
-
-    def test_access_sequence_matches_counters(self, soup_bvh):
-        origins, directions = make_rays(soup_bvh, 8, seed=5)
-        for i in range(8):
-            rec, visits = trace_access_sequence(soup_bvh, origins[i], directions[i])
-            interior = sum(1 for _, is_leaf in visits if not is_leaf)
-            leaves = sum(1 for _, is_leaf in visits if is_leaf)
-            assert interior == rec.nodes_visited
-            assert leaves == rec.leaf_visits
 
     def test_in_treelet_only_stops_at_boundary(self, soup_bvh):
         """With in_treelet_only, stepping halts when the current stack drains."""

@@ -148,6 +148,35 @@ class TestCLIExportSweep:
         ) == 2
         assert "no field" in capsys.readouterr().err
 
+    def test_sweep_boolean_values(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(
+            ["sweep", "vtq", "repack_enabled", "False,True", "--scene",
+             "BUNNY", "--fast"]
+        ) == 0
+        rows = [line.split("|")[0].strip()
+                for line in capsys.readouterr().out.splitlines()]
+        assert rows.count("False") == 1 and rows.count("True") == 1
+
+    def test_sweep_bad_value_exits_2_with_a_message(self, capsys):
+        assert main(
+            ["sweep", "gpu", "dram_latency", "300,x", "--fast"]
+        ) == 2
+        assert "dram_latency value: 'x'" in capsys.readouterr().err
+
+    def test_sweep_and_pareto_accept_splat_scenes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import build_parser
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(
+            ["sweep", "vtq", "repack_threshold", "8,22", "--scene", "GSPL1",
+             "--fast"]
+        ) == 0
+        assert "VTQ sweep on GSPL1" in capsys.readouterr().out
+        assert build_parser().parse_args(["pareto", "GSPL1"]).scene == "GSPL1"
+
 
 class TestCLIJobsAndTrace:
     def test_jobs_arg_rejects_negatives(self, capsys):

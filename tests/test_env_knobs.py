@@ -24,26 +24,15 @@ KNOBS = frozenset({
     "REPRO_SANITIZE",
     "REPRO_SCALE",
     "REPRO_SCENES",
-    "REPRO_SCENE_CACHE_ENTRIES",
-    "REPRO_SERVICE_BREAKER_COOLDOWN_S",
-    "REPRO_SERVICE_BREAKER_THRESHOLD",
-    "REPRO_SERVICE_CLIENT_MAX",
     "REPRO_SERVICE_DEDUPE",
     "REPRO_SERVICE_DEDUPE_MAX_BYTES",
     "REPRO_SERVICE_DEDUPE_MAX_ENTRIES",
     "REPRO_SERVICE_HEARTBEAT_S",
-    "REPRO_SERVICE_JOBS",
-    "REPRO_SERVICE_NODE_BREAKER_COOLDOWN_S",
-    "REPRO_SERVICE_NODE_BREAKER_THRESHOLD",
-    "REPRO_SERVICE_NODE_EXPIRE_S",
     "REPRO_SERVICE_NODE_TTL_S",
-    "REPRO_SERVICE_QUEUE_MAX",
-    "REPRO_SERVICE_RETRIES",
     "REPRO_SERVICE_RETRY_AFTER_S",
     "REPRO_SERVICE_SOCKET",
     "REPRO_SERVICE_SPOOL",
     "REPRO_SERVICE_TCP",
-    "REPRO_SERVICE_TENANT_MAX",
     "REPRO_SOA_ENGINE",
     "REPRO_SWEEP_JOURNAL",
     "REPRO_TRACE_BUDGET_BYTES",

@@ -333,7 +333,7 @@ class TestSceneCacheLRU:
             lambda mesh, **layout: object(),
         )
         monkeypatch.setattr(runner, "_scene_cache", OrderedDict())
-        monkeypatch.setenv("REPRO_SCENE_CACHE_ENTRIES", "2")
+        monkeypatch.setattr(runner, "SCENE_CACHE_ENTRIES", 2)
 
         runner.scene_and_bvh("A", ctx.setup)
         runner.scene_and_bvh("B", ctx.setup)

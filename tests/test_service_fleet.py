@@ -48,7 +48,6 @@ from tests.test_service_server import ServerHarness
 @pytest.fixture(autouse=True)
 def service_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_CACHE_TRACE", str(tmp_path / "cache_trace.log"))
     # Fast worker registration so fleet tests don't wait on heartbeats.
     monkeypatch.setenv("REPRO_SERVICE_HEARTBEAT_S", "0.05")
     runner.clear_failures()
@@ -472,6 +471,18 @@ class TestFleetEndToEnd:
             _BLOCK.set()
             records = client.wait([running, queued, other], timeout=60)
             assert [r["state"] for r in records] == [jobstates.DONE] * 3
+
+    def test_tenant_max_zero_means_unlimited(self, tmp_path):
+        """``repro serve --tenant-max 0`` starts and admits, as its help says."""
+        with ServerHarness(spool=tmp_path / "spool", tenant_max=0) as harness:
+            assert harness.server.queue.per_tenant_max is None
+            client = harness.client()
+            job_ids = [
+                client.submit(scene, "baseline", client_id=scene, tenant="acme")
+                for scene in ("BUNNY", "SPNZA")
+            ]
+            records = client.wait(job_ids, timeout=60)
+        assert [r["state"] for r in records] == [jobstates.DONE] * 2
 
     def test_silent_fleet_rejects_no_node_instead_of_running_locally(
         self, tmp_path, monkeypatch

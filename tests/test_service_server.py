@@ -12,6 +12,7 @@ hand-offs work.
 """
 
 import asyncio
+import os
 import socket
 import threading
 
@@ -31,9 +32,8 @@ from repro.service.server import SimulationServer
 @pytest.fixture(autouse=True)
 def service_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    # Pin the audit log so the server's setdefault can't leak env state
-    # across tests.
-    monkeypatch.setenv("REPRO_CACHE_TRACE", str(tmp_path / "cache_trace.log"))
+    # The health cache counters must not depend on the audit log.
+    monkeypatch.delenv("REPRO_CACHE_TRACE", raising=False)
     runner.clear_failures()
     yield
     runner.clear_failures()
@@ -165,6 +165,14 @@ class TestEndToEnd:
         assert health["cache"]["computes"] == 1
         assert health["cache"]["hits"] == 1
         assert health["cache"]["hit_rate"] == 0.5
+
+    def test_serving_writes_no_cache_audit_log(self, tmp_path):
+        with ServerHarness(spool=tmp_path / "spool") as harness:
+            client = harness.client()
+            client.wait([client.submit("BUNNY", "baseline")], timeout=120)
+            assert client.health()["cache"]["computes"] == 1
+        assert "REPRO_CACHE_TRACE" not in os.environ
+        assert not (tmp_path / "spool" / "cache_trace.log").exists()
 
     def test_submit_validation(self, tmp_path):
         with ServerHarness(spool=tmp_path / "spool") as harness:

@@ -207,7 +207,6 @@ def leg_c_service_faults() -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
     env["REPRO_CACHE_DIR"] = str(Path(scratch) / "cache")
-    env["REPRO_SERVICE_QUEUE_MAX"] = "1"
     env["REPRO_SERVICE_RETRY_AFTER_S"] = "0.2"
 
     proc = subprocess.Popen(
@@ -216,6 +215,7 @@ def leg_c_service_faults() -> None:
             "--socket", endpoint,
             "--spool", str(Path(scratch) / "spool"),
             "--jobs", "0",
+            "--queue-max", "1",
             "--fast",
         ],
         env=env,
