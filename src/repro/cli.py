@@ -837,17 +837,29 @@ def cmd_chaos(args) -> int:
     return 0 if report.ok else 1
 
 
-def _jobs_arg(value: str) -> int:
-    """``--jobs`` values: any non-negative int; 0 = serial, no pool."""
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--jobs must be an integer, got {value!r}")
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 0 (0 = serial, no pool), got {jobs}"
-        )
-    return jobs
+def _int_arg(flag: str, minimum: int, note: str = ""):
+    """An argparse type for ``flag``: an int >= ``minimum``.
+
+    ``note`` glosses the floor in the usage error, e.g. what 0 means.
+    """
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be an integer, got {value!r}"
+            )
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be >= {minimum}{note}, got {number}"
+            )
+        return number
+
+    return parse
+
+
+_jobs_arg = _int_arg("--jobs", 0, " (0 = serial, no pool)")
 
 
 def _values_arg(text: str) -> List[float]:
@@ -1054,9 +1066,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs_arg, default=None,
                    help="worker pool size (default: REPRO_JOBS or CPU "
                         "count; 0 = serial, no pool)")
-    p.add_argument("--queue-max", type=int, default=None,
-                   help="queue depth bound (default 64)")
-    p.add_argument("--tenant-max", type=int, default=None,
+    p.add_argument("--queue-max", type=_int_arg("--queue-max", 1),
+                   default=None, help="queue depth bound (default 64)")
+    p.add_argument("--tenant-max",
+                   type=_int_arg("--tenant-max", 0, " (0 = unlimited)"),
+                   default=None,
                    help="per-tenant queued-job quota (default and 0: "
                         "unlimited)")
     p.add_argument("--join", default=None, metavar="HOST:PORT",

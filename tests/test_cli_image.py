@@ -189,6 +189,23 @@ class TestCLIJobsAndTrace:
             main(["figure", "fig1", "--fast", "--jobs", "lots"])
         assert "--jobs must be an integer" in capsys.readouterr().err
 
+    def test_serve_queue_max_below_one_is_a_usage_error(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["serve", "--queue-max", "0"])
+        assert exc_info.value.code == 2
+        assert "--queue-max must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_serve_tenant_max_below_zero_is_a_usage_error(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(["serve", "--tenant-max", "-1"])
+        assert exc_info.value.code == 2
+        assert ("--tenant-max must be >= 0 (0 = unlimited), got -1"
+                in capsys.readouterr().err)
+
     def test_figure_jobs_zero_serial(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_SCENES", "BUNNY")

@@ -196,6 +196,41 @@ class TestFallbacks:
         assert replayed.per_sm_cycles == live.per_sm_cycles
 
 
+class TestSweepPathEngine:
+    def test_run_cases_renders_never_fall_back(self, ctx, monkeypatch):
+        """Every render a sweep reaches through ``run_cases`` runs the SoA
+        engine: plain cases and ``gpu_overrides`` points, triangles and
+        splats.  A silent scalar fallback keeps every result identical and
+        shows only as lost speed, so no equivalence check can catch it."""
+        from repro.experiments import runner
+        from repro.experiments.parallel import CaseSpec, run_cases
+
+        real_render = runner.render_scene
+        engines = []
+
+        def recording_render(*args, **kwargs):
+            result = real_render(*args, **kwargs)
+            engines.append((
+                result.scene_name, result.policy,
+                result.engine, result.engine_fallback_reason,
+            ))
+            return result
+
+        monkeypatch.setattr(runner, "render_scene", recording_render)
+        specs = [
+            CaseSpec(scene_name, policy, gpu_overrides=overrides)
+            for scene_name in ("BUNNY", "GSPL1")
+            for policy in POLICIES
+            for overrides in (None, (("l2_bytes", 65536),),
+                              (("line_bytes", 64),))
+        ]
+        results = run_cases(specs, ctx, jobs=0, record_failures=False)
+        assert [failure for _, failure in results] == [None] * len(specs)
+        assert len(engines) == len(specs)
+        fallbacks = [row for row in engines if row[2:] != ("soa", None)]
+        assert fallbacks == []
+
+
 class TestPlanCache:
     def test_plan_reused_across_policies(self, ctx):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)

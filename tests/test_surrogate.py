@@ -26,6 +26,7 @@ from repro.obs import registry as obs_registry, render_snapshot_text
 from repro.service.jobs import Job, JobStore, new_job
 from repro.surrogate import (
     ExactLedger,
+    ExactRunner,
     SurrogateError,
     SurrogateModel,
     axis_kind,
@@ -195,6 +196,51 @@ class TestRunPareto:
         with pytest.raises(SurrogateError, match="budget"):
             run_pareto("BUNNY", context, cache_count=4, queue_count=4,
                        exact_budget=8, jobs=0)
+
+
+class TestAgainstExhaustiveGrid:
+    def test_true_error_over_the_whole_grid(self, tmp_path, monkeypatch):
+        """Price a 504-point BUNNY cache x queue grid with the surrogate,
+        then every point exactly.  The sweep must stay cheap (at most 5%
+        of the grid run exactly), its exact points must be exact, and the
+        surrogate-priced points must stay within the contract's error
+        bound on average against ground truth the payload never sees."""
+        from repro.experiments.figures import vtq_default
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        context = default_context(fast=True)
+        payload = run_pareto(
+            "BUNNY", context, cache_count=8,
+            queue_values=[float(v) for v in range(1, 64)], seed=3, jobs=0,
+        ).payload
+        grid = payload["grid"]
+        points = build_grid(
+            grid["cache_axis"], grid["cache_values"],
+            grid["queue_axis"], grid["queue_values"],
+        )
+        exact = ExactRunner(
+            "BUNNY", payload["policy"], context, vtq_default(context),
+            ExactLedger(limit=None), jobs=0,
+        ).run(points)
+        # The max lands on deep-dominated corners the acquisition starves
+        # of exact runs (they can never reach the frontier); the contract's
+        # bound applies to the held-out and frontier errors.
+        rel = [
+            abs(row["cycles"] - exact[p]["cycles"]) / exact[p]["cycles"]
+            for row, p in zip(payload["points"], points)
+            if not row["exact"]
+        ]
+        error = payload["surrogate_error"]
+        assert grid["size"] > payload["exact_runs"]["total"] >= 3
+        assert payload["exact_fraction"] <= 0.05 + 1e-12
+        assert all(
+            row["cycles"] == exact[p]["cycles"]
+            for row, p in zip(payload["points"], points) if row["exact"]
+        )
+        assert 0.0 <= sum(rel) / len(rel) <= max(rel)
+        assert sum(rel) / len(rel) <= error["bound"]
+        assert error["frontier_verification"]["max"] <= 0.10 + 1e-12
+        assert error["bound_met"] is True
 
 
 class TestServiceParetoKind:
