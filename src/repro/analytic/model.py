@@ -61,13 +61,8 @@ def collect_workload_traces(
     the GPU would see them arrive.
     """
     shading = ShadingEngine(scene, bvh, max_bounces=max_bounces, seed=seed)
-    primaries = scene.camera.primary_rays(width, height)
-    paths = [
-        shading.make_primary(p, primaries.origins[p], primaries.directions[p])
-        for p in range(width * height)
-    ]
     traces: List[RayTrace] = []
-    alive = list(paths)
+    alive = shading.primary_paths(width, height)
     while alive:
         next_alive = []
         for path in alive:

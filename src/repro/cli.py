@@ -34,9 +34,11 @@ import sys
 from typing import List, Optional
 
 from repro.gpusim.config import default_setup
+from repro.gpusim.soa_engines import RT_UNITS
 from repro.scenes import scene_names, scene_spec
 from repro.tracing import render_scene
 from repro.tracing.image import tonemap, write_ppm
+from repro.tracing.render import POLICIES
 
 _FIGURES = {}
 
@@ -49,16 +51,6 @@ def _figures():
 
         _FIGURES = figure_registry()
     return _FIGURES
-
-
-def _warm(names, context, jobs) -> None:
-    """Precompute the figures' cases in parallel before the serial replay."""
-    from repro.experiments.parallel import cases_for_figures, jobs_from_env, warm_cases
-
-    if jobs is None:
-        jobs = jobs_from_env()
-    if jobs > 1:
-        warm_cases(cases_for_figures(names, context), context, jobs=jobs)
 
 
 def cmd_scenes(args) -> int:
@@ -117,7 +109,7 @@ def cmd_compare(args) -> int:
     scene, bvh = scene_and_bvh(args.scene, setup)
     baseline = None
     print(f"{'policy':9s} {'cycles':>14s} {'speedup':>8s} {'SIMT':>6s} {'L1 miss':>8s}")
-    for policy in ("baseline", "prefetch", "vtq"):
+    for policy in RT_UNITS:
         result = render_scene(scene, bvh, setup, policy=policy)
         if baseline is None:
             baseline = result.cycles
@@ -147,7 +139,7 @@ def _write_trace(trace_out: str, names, context) -> None:
     structure is what the timeline was built to show).  Purely
     observational: cached figure results are untouched.
     """
-    from repro.experiments.parallel import cases_for_figures
+    from repro.experiments import cases_for_figures
     from repro.experiments.runner import scene_and_bvh
     from repro.gpusim.timeline import merge_timelines, write_chrome_trace
     from repro.tracing import render_scene as render
@@ -193,7 +185,12 @@ def _write_run_manifest(manifest_path, started, config, **extra) -> None:
 def cmd_figure(args) -> int:
     import time
 
-    from repro.experiments import clear_failures, default_context, format_table
+    from repro.experiments import (
+        clear_failures,
+        default_context,
+        format_table,
+        warm_figures,
+    )
 
     figures = _figures()
     if args.name not in figures:
@@ -203,8 +200,8 @@ def cmd_figure(args) -> int:
     clear_failures()
     started = time.time()
     context = default_context(fast=args.fast)
-    _warm([args.name], context, args.jobs)
-    print(format_table(figures[args.name](context)))
+    warm_figures([args.name], context, args.jobs)
+    print(format_table(figures[args.name].table(context)))
     if args.trace_out:
         _write_trace(args.trace_out, [args.name], context)
     status = _finish_run(args.strict)
@@ -219,15 +216,20 @@ def cmd_figure(args) -> int:
 def cmd_report(args) -> int:
     import time
 
-    from repro.experiments import clear_failures, default_context, format_table
+    from repro.experiments import (
+        clear_failures,
+        default_context,
+        format_table,
+        warm_figures,
+    )
 
     clear_failures()
     started = time.time()
     context = default_context(fast=args.fast)
     figures = _figures()
-    _warm(list(figures), context, args.jobs)
-    for name, fig in figures.items():
-        print(format_table(fig(context)))
+    warm_figures(list(figures), context, args.jobs)
+    for fig in figures.values():
+        print(format_table(fig.table(context)))
         print("\n" + "=" * 72 + "\n")
     if args.trace_out:
         _write_trace(args.trace_out, list(figures), context)
@@ -259,7 +261,7 @@ def cmd_export(args) -> int:
         return 2
     started = time.time()
     context = default_context(fast=args.fast)
-    export(figures[args.name](context), args.output)
+    export(figures[args.name].table(context), args.output)
     print(f"wrote {args.output}")
     if not args.no_manifest:
         from repro.obs import manifest_path_for
@@ -589,8 +591,7 @@ def cmd_submit(args) -> int:
     client = _service_client(args)
     try:
         if args.figure:
-            from repro.experiments import default_context
-            from repro.experiments.parallel import cases_for_figure
+            from repro.experiments import cases_for_figure, default_context
 
             if args.figure not in _figures():
                 print(f"unknown figure {args.figure!r}; choose from: "
@@ -796,8 +797,7 @@ def cmd_chaos(args) -> int:
     import json as json_mod
 
     from repro.errors import ReproError
-    from repro.experiments import default_context
-    from repro.experiments.parallel import CaseSpec, cases_for_figure
+    from repro.experiments import CaseSpec, cases_for_figure, default_context
     from repro.resilience import run_chaos_sweep
 
     context = default_context(fast=args.fast)
@@ -891,8 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render one scene")
     p.add_argument("scene",
                    choices=scene_names(include_extra=True, include_gaussian=True))
-    p.add_argument("--policy", default="vtq",
-                   choices=("baseline", "prefetch", "vtq"))
+    p.add_argument("--policy", default="vtq", choices=POLICIES)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--sanitize", action="store_true",
                    help="run the simulation-state sanitizer on the result")
@@ -963,10 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scene",
                    choices=scene_names(include_extra=True, include_gaussian=True))
-    p.add_argument("--policy", default="vtq",
-                   choices=("baseline", "prefetch", "sorted", "vtq"))
+    p.add_argument("--policy", default="vtq", choices=POLICIES)
     p.add_argument("--baseline", default="baseline", metavar="POLICY",
-                   choices=("baseline", "prefetch", "sorted", "vtq"),
+                   choices=POLICIES,
                    help="denominator policy for the speedup axis")
     p.add_argument("--cache-axis", default="l2_bytes", metavar="FIELD",
                    help="GPUConfig cost axis (default l2_bytes)")
@@ -1087,8 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene name (or use --figure)")
     p.add_argument("--figure", default=None, metavar="NAME",
                    help="submit every simulator case of one figure")
-    p.add_argument("--policy", default="vtq",
-                   choices=("baseline", "prefetch", "sorted", "vtq"))
+    p.add_argument("--policy", default="vtq", choices=POLICIES)
     p.add_argument("--priority", type=int, default=0)
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                    help="per-job wall-clock deadline from submission")

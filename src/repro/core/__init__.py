@@ -7,7 +7,8 @@ Components (paper section in parentheses):
   Queue Table hardware structures, with capacity/overflow semantics and
   the area math of Section 6.5.
 * :mod:`repro.core.virtualization` — ray virtualization (3.1/4.1): CTA
-  suspend/resume bookkeeping and state-size accounting.
+  suspend/resume bookkeeping, state-size accounting and the save/restore
+  cost every VTQ driver charges.
 * :mod:`repro.core.rt_unit_vtq` — the dynamic treelet queue RT unit
   (3.2/4.2-4.5): initial ray-stationary phase, treelet-stationary
   processing with preloading, grouping of underpopulated queues, and warp

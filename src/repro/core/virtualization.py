@@ -8,8 +8,9 @@ rays finish traversal, the RT unit injects the CTA back into the CTA
 scheduler; the state is restored before shading resumes.
 
 ``CTATracker`` is the bookkeeping side: it counts outstanding rays per
-(CTA, bounce) and reports when a CTA is ready to resume.  The timing and
-traffic costs are charged by the render driver through
+(CTA, bounce) and reports when a CTA is ready to resume.
+``CTAStateCost`` is the timing and traffic side, charged by every VTQ
+driver (the render drivers and the vkrt pipeline) through
 ``MemorySystem.cta_state_transfer``.
 """
 
@@ -30,6 +31,53 @@ def cta_state_bytes(config: GPUConfig) -> int:
     SIMT-stack entry per warp.
     """
     return config.cta_state_bytes()
+
+
+class CTAStateCost:
+    """What suspending and resuming a CTA costs the VTQ unit ``engine``
+    (Section 4.1, Fig. 16).
+
+    Streaming the state occupies the memory path the RT unit shares, so
+    each save and each restore adds ``dram_line_transfer`` per state line
+    to ``engine.cycle`` (the paper's ~10% overhead is "predominantly from
+    the increased memory accesses to save and load CTA states"); a
+    restore also delays reissue by the transfer latency plus
+    ``cta_resume_schedule_cycles``.  Without ``virtualization_overheads``
+    both are free.  ``cta_saves`` / ``cta_restores`` count them.
+    """
+
+    def __init__(self, engine):
+        config = engine.config
+        self.engine = engine
+        self.enabled = engine.vtq.virtualization_overheads
+        self.state_bytes = cta_state_bytes(config)
+        state_lines = (self.state_bytes + config.line_bytes - 1) // config.line_bytes
+        self.occupancy = float(config.dram_line_transfer * state_lines)
+        self.schedule_cycles = config.cta_resume_schedule_cycles
+
+    def save(self) -> None:
+        """Charge one CTA suspension."""
+        engine = self.engine
+        if self.enabled:
+            recorder = engine.mem.recorder
+            if recorder is not None:
+                recorder.cta_save()
+            engine.mem.cta_state_transfer(self.state_bytes)
+            engine.cycle += self.occupancy
+        engine.stats.cta_saves += 1
+
+    def restore(self) -> float:
+        """Charge one CTA resumption; returns its latency to reissue."""
+        engine = self.engine
+        engine.stats.cta_restores += 1
+        if not self.enabled:
+            return 0.0
+        recorder = engine.mem.recorder
+        if recorder is not None:
+            recorder.cta_restore()
+        restore = engine.mem.cta_state_transfer(self.state_bytes)
+        engine.cycle += self.occupancy
+        return restore + self.schedule_cycles
 
 
 @dataclass

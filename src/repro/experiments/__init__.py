@@ -26,13 +26,13 @@ from repro.experiments.runner import (
 )
 from repro.experiments.parallel import (
     CaseSpec,
-    cases_for_figure,
-    cases_for_figures,
     jobs_from_env,
     run_cases,
     warm_cases,
 )
 from repro.experiments.figures import (
+    cases_for_figure,
+    cases_for_figures,
     fig01_baseline_bottlenecks,
     fig05_analytical_model,
     fig10_overall_speedup,
@@ -46,6 +46,7 @@ from repro.experiments.figures import (
     sec65_area_overheads,
     table1_configuration,
     table2_scenes,
+    warm_figures,
 )
 from repro.experiments.report import format_failures, format_table
 
@@ -61,6 +62,7 @@ __all__ = [
     "run_case_quarantined",
     "run_cases",
     "warm_cases",
+    "warm_figures",
     "clear_cache",
     "clear_failures",
     "failures",

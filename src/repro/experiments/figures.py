@@ -5,12 +5,18 @@ numbers) and optionally ``series`` / ``notes``.  The benchmark files under
 ``benchmarks/`` call these and print them with
 :func:`repro.experiments.report.format_table`; EXPERIMENTS.md records the
 paper-vs-measured comparison.
+
+A figure that runs simulator cases declares them once, in a case
+function next to its table: one ``(scene, [CaseSpec, ...])`` row per
+table row.  The table resolves exactly those rows, and
+:func:`cases_for_figure` flattens the same rows for the parallel sweep
+executor, so the cases a sweep warms are the cases the figure asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from repro.analytic import collect_workload_traces, concurrency_sweep
 from repro.core.config import VTQConfig
 from repro.core.treelet_queue import area_overheads
 from repro.errors import BudgetExceeded, ReproError
+from repro.experiments.parallel import CaseSpec, jobs_from_env, warm_cases
 from repro.experiments.runner import (
     CaseFailure,
     ExperimentContext,
@@ -27,6 +34,18 @@ from repro.experiments.runner import (
 )
 from repro.gpusim.stats import TraversalMode
 from repro.scenes import scene_names, scene_spec
+
+#: One table row's cases: the row's scene and the cases it needs, in the
+#: order the table resolves them.
+CaseRow = Tuple[str, List[CaseSpec]]
+_BASELINE = ("baseline", None)
+_PREFETCH = ("prefetch", None)
+
+#: Figure 11's progress buckets, and the queue / repack thresholds of
+#: Figures 12 and 13.
+FIG11_BUCKETS = 12
+FIG12_THRESHOLDS = (32, 64, 128)
+FIG13_THRESHOLDS = (8, 16, 22)
 
 
 def _geomean(values: List[float]) -> float:
@@ -60,6 +79,22 @@ def _quarantine_row(scene: str, exc: ReproError, width: int) -> List[str]:
     return [scene, cell] + ["-"] * max(0, width - 2)
 
 
+def _resolve(specs: Sequence[CaseSpec], context: ExperimentContext) -> List[Dict]:
+    """Run one row's cases in order; the first failure raises out of the
+    row, so the row's remaining cases never run."""
+    return [
+        run_case(spec.scene, spec.policy, context, vtq=spec.vtq) for spec in specs
+    ]
+
+
+def _each_scene(scenes: Sequence[str], *variants) -> List[CaseRow]:
+    """One row per scene of its ``(policy, vtq)`` variants, in order."""
+    return [
+        (scene, [CaseSpec(scene, policy, vtq) for policy, vtq in variants])
+        for scene in scenes
+    ]
+
+
 def vtq_default(context: ExperimentContext) -> VTQConfig:
     """Population-scaled VTQ parameters for this context.
 
@@ -82,6 +117,10 @@ def vtq_default(context: ExperimentContext) -> VTQConfig:
 # ---------------------------------------------------------------------------
 
 
+def fig01_cases(context: ExperimentContext) -> List[CaseRow]:
+    return _each_scene(context.scenes(), _BASELINE)
+
+
 def fig01_baseline_bottlenecks(context: ExperimentContext) -> Dict:
     """Fig. 1a/1b: baseline L1 miss rate of BVH accesses and SIMT efficiency.
 
@@ -90,9 +129,9 @@ def fig01_baseline_bottlenecks(context: ExperimentContext) -> Dict:
     """
     rows = []
     misses, simts = [], []
-    for scene in context.scenes():
+    for scene, specs in fig01_cases(context):
         try:
-            m = run_case(scene, "baseline", context)
+            (m,) = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 3))
             continue
@@ -150,20 +189,23 @@ def fig05_analytical_model(
 # ---------------------------------------------------------------------------
 
 
+def fig10_cases(context: ExperimentContext) -> List[CaseRow]:
+    return _each_scene(
+        context.scenes(), _BASELINE, _PREFETCH, ("vtq", vtq_default(context))
+    )
+
+
 def fig10_overall_speedup(context: ExperimentContext) -> Dict:
     """Fig. 10: VTQ vs baseline and vs Treelet Prefetching.
 
     Paper: VTQ averages 1.95x over baseline (up to 2.55x) and 1.43x over
     treelet prefetching; SPNZA and CHSNT gain least.
     """
-    vtq = vtq_default(context)
     rows = []
     over_base, over_pf = [], []
-    for scene in context.scenes():
+    for scene, specs in fig10_cases(context):
         try:
-            base = run_case(scene, "baseline", context)
-            pf = run_case(scene, "prefetch", context)
-            full = run_case(scene, "vtq", context, vtq=vtq)
+            base, pf, full = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 4))
             continue
@@ -191,9 +233,18 @@ def fig10_overall_speedup(context: ExperimentContext) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def fig_gaussian_policies(
-    context: ExperimentContext, scenes: Optional[List[str]] = None
-) -> Dict:
+def gaussian_cases(context: ExperimentContext) -> List[CaseRow]:
+    from repro.scenes.gaussians import gaussian_scene_names, is_gaussian_scene
+
+    scenes = [s for s in context.scenes() if is_gaussian_scene(s)]
+    if not scenes:
+        # The default context lists triangle scenes only; the splat
+        # table always covers the registered gaussian suite.
+        scenes = gaussian_scene_names()
+    return _each_scene(scenes, _BASELINE, _PREFETCH, ("vtq", vtq_default(context)))
+
+
+def fig_gaussian_policies(context: ExperimentContext) -> Dict:
     """Baseline vs prefetch vs VTQ on the procedural splat scenes.
 
     The Figure 10 question asked of a non-triangle primitive: does
@@ -205,22 +256,12 @@ def fig_gaussian_policies(
     compute/memory balance, so the VTQ margin here is the interesting
     number, not a rerun of the triangle table.
     """
-    from repro.scenes.gaussians import gaussian_scene_names, is_gaussian_scene
-
-    vtq = vtq_default(context)
-    wanted = scenes or [s for s in context.scenes() if is_gaussian_scene(s)]
-    if not wanted:
-        # The default context lists triangle scenes only; the splat
-        # table always covers the registered gaussian suite.
-        wanted = gaussian_scene_names()
     rows = []
     over_base, over_pf = [], []
-    for scene in wanted:
+    for scene, specs in gaussian_cases(context):
         try:
             splats = scene_and_bvh(scene, context.setup)[0].mesh.triangle_count
-            base = run_case(scene, "baseline", context)
-            pf = run_case(scene, "prefetch", context)
-            full = run_case(scene, "vtq", context, vtq=vtq)
+            base, pf, full = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 8))
             continue
@@ -261,19 +302,23 @@ def fig_gaussian_policies(
 # ---------------------------------------------------------------------------
 
 
-def fig11_missrate_over_time(
-    context: ExperimentContext, scene: Optional[str] = None, buckets: int = 12
-) -> Dict:
+def fig11_cases(context: ExperimentContext) -> List[CaseRow]:
+    scenes = context.scenes()
+    scene = "LANDS" if "LANDS" in scenes else scenes[-1]
+    return _each_scene([scene], _BASELINE, ("vtq", vtq_default(context).naive()))
+
+
+def fig11_missrate_over_time(context: ExperimentContext) -> Dict:
     """Fig. 11: L1 miss rate over time, treelet-stationary vs baseline.
 
     Paper (LANDS): the baseline plateaus near 60%; permanent treelet-
     stationary mode starts as low as 9% and climbs past the baseline
     (75-80%) once queues become underpopulated.
     """
-    scene = scene or ("LANDS" if "LANDS" in context.scenes() else context.scenes()[-1])
+    ((scene, specs),) = fig11_cases(context)
+    buckets = FIG11_BUCKETS
     try:
-        base = run_case(scene, "baseline", context)
-        naive = run_case(scene, "vtq", context, vtq=vtq_default(context).naive())
+        base, naive = _resolve(specs, context)
     except ReproError as exc:
         return {
             "title": f"Figure 11: L1 BVH miss rate over time, {scene}",
@@ -316,41 +361,36 @@ def fig11_missrate_over_time(
 # ---------------------------------------------------------------------------
 
 
-def fig12_grouping_thresholds(
-    context: ExperimentContext, thresholds=(32, 64, 128)
-) -> Dict:
+def fig12_cases(context: ExperimentContext) -> List[CaseRow]:
+    """Per scene: baseline, naive queues, then grouping at each threshold."""
+    vtq = vtq_default(context)
+    return _each_scene(
+        context.scenes(), _BASELINE, ("vtq", vtq.naive()),
+        *[("vtq", replace(vtq, queue_threshold=t, repack_enabled=False))
+          for t in FIG12_THRESHOLDS],
+    )
+
+
+def fig12_grouping_thresholds(context: ExperimentContext) -> Dict:
     """Fig. 12: naive treelet queues vs grouping at several queue thresholds.
 
     Paper: grouping at 128 is ~8x faster than the naive implementation,
     but still ~5% slower than the baseline without warp repacking.
     """
-    base_vtq = vtq_default(context)
-    naive_cfg = base_vtq.naive()
     rows = []
     per_variant: Dict[str, List[float]] = {"naive": []}
-    for t in thresholds:
+    for t in FIG12_THRESHOLDS:
         per_variant[f"group@{t}"] = []
-    for scene in context.scenes():
+    for scene, specs in fig12_cases(context):
         try:
-            base = run_case(scene, "baseline", context)
-            row = [scene]
-            scene_speeds = {}
-            naive = run_case(scene, "vtq", context, vtq=naive_cfg)
-            s = base["cycles"] / naive["cycles"]
-            scene_speeds["naive"] = s
-            row.append(f"{s:.2f}")
-            for t in thresholds:
-                cfg = replace(base_vtq, queue_threshold=t, repack_enabled=False)
-                m = run_case(scene, "vtq", context, vtq=cfg)
-                s = base["cycles"] / m["cycles"]
-                scene_speeds[f"group@{t}"] = s
-                row.append(f"{s:.2f}")
+            base, *variants = _resolve(specs, context)
         except ReproError as exc:
-            rows.append(_quarantine_row(scene, exc, 2 + len(thresholds)))
+            rows.append(_quarantine_row(scene, exc, 2 + len(FIG12_THRESHOLDS)))
             continue
-        for k, s in scene_speeds.items():
+        speeds = [base["cycles"] / m["cycles"] for m in variants]
+        for k, s in zip(per_variant, speeds):
             per_variant[k].append(s)
-        rows.append(row)
+        rows.append([scene] + [f"{s:.2f}" for s in speeds])
     if per_variant["naive"]:
         rows.append(
             ["GEOMEAN"] + [f"{_geomean(per_variant[k]):.2f}" for k in per_variant]
@@ -358,7 +398,7 @@ def fig12_grouping_thresholds(
     return {
         "title": "Figure 12: grouping underpopulated treelet queues "
         "(paper: ~8x over naive; ~5% below baseline at threshold 128)",
-        "headers": ["scene", "naive"] + [f"group@{t}" for t in thresholds],
+        "headers": ["scene", "naive"] + [f"group@{t}" for t in FIG12_THRESHOLDS],
         "rows": rows,
     }
 
@@ -368,48 +408,40 @@ def fig12_grouping_thresholds(
 # ---------------------------------------------------------------------------
 
 
-def fig13_warp_repacking(
-    context: ExperimentContext, thresholds=(8, 16, 22)
-) -> Dict:
+def fig13_cases(context: ExperimentContext) -> List[CaseRow]:
+    """Per scene: baseline, no repacking, then repacking at each threshold."""
+    vtq = vtq_default(context)
+    return _each_scene(
+        context.scenes(), _BASELINE, ("vtq", replace(vtq, repack_enabled=False)),
+        *[("vtq", replace(vtq, repack_threshold=t)) for t in FIG13_THRESHOLDS],
+    )
+
+
+def fig13_warp_repacking(context: ExperimentContext) -> Dict:
     """Fig. 13a/b: repacking speedup and SIMT efficiency.
 
     Paper: no repacking = 5% slowdown vs baseline with SIMT ~0.33;
     threshold 16 gives 1.84x, threshold 22 gives 1.95x with SIMT ~0.82
     (baseline SIMT ~0.37).
     """
-    base_vtq = vtq_default(context)
     rows = []
     speeds: Dict[str, List[float]] = {"no repack": []}
     simts: Dict[str, List[float]] = {"baseline": [], "no repack": []}
-    for t in thresholds:
+    for t in FIG13_THRESHOLDS:
         speeds[f"repack@{t}"] = []
         simts[f"repack@{t}"] = []
-    for scene in context.scenes():
+    for scene, specs in fig13_cases(context):
         try:
-            base = run_case(scene, "baseline", context)
-            row = [scene]
-            scene_speeds, scene_simts = {}, {"baseline": base["simt_efficiency"]}
-            off = run_case(
-                scene, "vtq", context, vtq=replace(base_vtq, repack_enabled=False)
-            )
-            scene_speeds["no repack"] = base["cycles"] / off["cycles"]
-            scene_simts["no repack"] = off["simt_efficiency"]
-            row.append(f"{base['cycles'] / off['cycles']:.2f}")
-            for t in thresholds:
-                m = run_case(
-                    scene, "vtq", context, vtq=replace(base_vtq, repack_threshold=t)
-                )
-                scene_speeds[f"repack@{t}"] = base["cycles"] / m["cycles"]
-                scene_simts[f"repack@{t}"] = m["simt_efficiency"]
-                row.append(f"{base['cycles'] / m['cycles']:.2f}")
+            base, *variants = _resolve(specs, context)
         except ReproError as exc:
-            rows.append(_quarantine_row(scene, exc, 2 + len(thresholds)))
+            rows.append(_quarantine_row(scene, exc, 2 + len(FIG13_THRESHOLDS)))
             continue
-        for k, s in scene_speeds.items():
+        scene_speeds = [base["cycles"] / m["cycles"] for m in variants]
+        for k, s in zip(speeds, scene_speeds):
             speeds[k].append(s)
-        for k, s in scene_simts.items():
-            simts[k].append(s)
-        rows.append(row)
+        for k, m in zip(simts, [base] + variants):
+            simts[k].append(m["simt_efficiency"])
+        rows.append([scene] + [f"{s:.2f}" for s in scene_speeds])
     if speeds["no repack"]:
         rows.append(["GEOMEAN"] + [f"{_geomean(speeds[k]):.2f}" for k in speeds])
     simt_table = [
@@ -418,7 +450,7 @@ def fig13_warp_repacking(
     return {
         "title": "Figure 13a: warp repacking speedup "
         "(paper: none=0.95x, 16=1.84x, 22=1.95x)",
-        "headers": ["scene", "no repack"] + [f"repack@{t}" for t in thresholds],
+        "headers": ["scene", "no repack"] + [f"repack@{t}" for t in FIG13_THRESHOLDS],
         "rows": rows,
         "simt_table": {
             "title": "Figure 13b: SIMT efficiency (paper: baseline 0.37, "
@@ -434,13 +466,17 @@ def fig13_warp_repacking(
 # ---------------------------------------------------------------------------
 
 
+def vtq_cases(context: ExperimentContext) -> List[CaseRow]:
+    """One VTQ case per scene (Figures 14 and 15, Section 6.5)."""
+    return _each_scene(context.scenes(), ("vtq", vtq_default(context)))
+
+
 def _mode_fraction_table(context: ExperimentContext, field: str, title: str) -> Dict:
-    vtq = vtq_default(context)
     rows = []
     sums = {m.value: [] for m in TraversalMode}
-    for scene in context.scenes():
+    for scene, specs in vtq_cases(context):
         try:
-            m = run_case(scene, "vtq", context, vtq=vtq)
+            (m,) = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 1 + len(TraversalMode)))
             continue
@@ -495,16 +531,20 @@ def fig15_mode_tests(context: ExperimentContext) -> Dict:
 # ---------------------------------------------------------------------------
 
 
+def fig16_cases(context: ExperimentContext) -> List[CaseRow]:
+    """Per scene: VTQ with, then without, the CTA save/restore cost."""
+    vtq = vtq_default(context)
+    ideal = replace(vtq, virtualization_overheads=False)
+    return _each_scene(context.scenes(), ("vtq", vtq), ("vtq", ideal))
+
+
 def fig16_virtualization_overhead(context: ExperimentContext) -> Dict:
     """Fig. 16: slowdown from CTA save/restore (paper: ~10% on average)."""
-    vtq = vtq_default(context)
-    ideal_cfg = replace(vtq, virtualization_overheads=False)
     rows = []
     overheads = []
-    for scene in context.scenes():
+    for scene, specs in fig16_cases(context):
         try:
-            real = run_case(scene, "vtq", context, vtq=vtq)
-            ideal = run_case(scene, "vtq", context, vtq=ideal_cfg)
+            real, ideal = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 2))
             continue
@@ -525,19 +565,21 @@ def fig16_virtualization_overhead(context: ExperimentContext) -> Dict:
 # ---------------------------------------------------------------------------
 
 
+def fig17_cases(context: ExperimentContext) -> List[CaseRow]:
+    return _each_scene(context.scenes(), _BASELINE, ("vtq", vtq_default(context)))
+
+
 def fig17_energy(context: ExperimentContext) -> Dict:
     """Fig. 17: energy of treelet queues relative to the baseline.
 
     Paper: treelet queues save ~60% energy; ray virtualization consumes
     ~11% of the design's total energy (mostly CTA state movement).
     """
-    vtq = vtq_default(context)
     rows = []
     rels, virt_shares = [], []
-    for scene in context.scenes():
+    for scene, specs in fig17_cases(context):
         try:
-            base = run_case(scene, "baseline", context)
-            full = run_case(scene, "vtq", context, vtq=vtq)
+            base, full = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 3))
             continue
@@ -618,9 +660,9 @@ def sec65_area_overheads(context: ExperimentContext) -> Dict:
          "128KB in paper"],
     ]
     peaks_q, peaks_c = [], []
-    for scene in context.scenes():
+    for scene, specs in vtq_cases(context):
         try:
-            m = run_case(scene, "vtq", context, vtq=vtq)
+            (m,) = _resolve(specs, context)
         except ReproError as exc:
             rows.append(_quarantine_row(scene, exc, 3))
             continue
@@ -638,26 +680,65 @@ def sec65_area_overheads(context: ExperimentContext) -> Dict:
     }
 
 
-def figure_registry() -> Dict:
-    """Name -> figure function, the single source for CLI and tooling.
+class Figure(NamedTuple):
+    """A table, and the case function whose rows it resolves (``None``
+    for tables that run no simulator cases)."""
 
-    The names are what ``python -m repro figure <name>`` accepts and what
-    :func:`repro.experiments.parallel.cases_for_figure` enumerates cases
-    for.
+    table: Callable[[ExperimentContext], Dict]
+    cases: Optional[Callable[[ExperimentContext], List[CaseRow]]] = None
+
+
+def figure_registry() -> Dict[str, Figure]:
+    """Name -> :class:`Figure`, the single source for CLI and tooling.
+
+    The names are what ``python -m repro figure <name>`` accepts; the
+    case functions are what :func:`cases_for_figure` flattens.
     """
     return {
-        "table1": table1_configuration,
-        "table2": table2_scenes,
-        "fig1": fig01_baseline_bottlenecks,
-        "fig5": fig05_analytical_model,
-        "fig10": fig10_overall_speedup,
-        "gaussian": fig_gaussian_policies,
-        "fig11": fig11_missrate_over_time,
-        "fig12": fig12_grouping_thresholds,
-        "fig13": fig13_warp_repacking,
-        "fig14": fig14_mode_cycles,
-        "fig15": fig15_mode_tests,
-        "fig16": fig16_virtualization_overhead,
-        "fig17": fig17_energy,
-        "sec65": sec65_area_overheads,
+        "table1": Figure(table1_configuration),
+        "table2": Figure(table2_scenes),
+        "fig1": Figure(fig01_baseline_bottlenecks, fig01_cases),
+        "fig5": Figure(fig05_analytical_model),
+        "fig10": Figure(fig10_overall_speedup, fig10_cases),
+        "gaussian": Figure(fig_gaussian_policies, gaussian_cases),
+        "fig11": Figure(fig11_missrate_over_time, fig11_cases),
+        "fig12": Figure(fig12_grouping_thresholds, fig12_cases),
+        "fig13": Figure(fig13_warp_repacking, fig13_cases),
+        "fig14": Figure(fig14_mode_cycles, vtq_cases),
+        "fig15": Figure(fig15_mode_tests, vtq_cases),
+        "fig16": Figure(fig16_virtualization_overhead, fig16_cases),
+        "fig17": Figure(fig17_energy, fig17_cases),
+        "sec65": Figure(sec65_area_overheads, vtq_cases),
     }
+
+
+def cases_for_figure(name: str, context: ExperimentContext) -> List[CaseSpec]:
+    """The cases figure ``name`` runs, in the order its table runs them."""
+    cases = figure_registry()[name].cases
+    if cases is None:
+        return []
+    return [spec for _scene, specs in cases(context) for spec in specs]
+
+
+def cases_for_figures(
+    names: Sequence[str], context: ExperimentContext
+) -> List[CaseSpec]:
+    """Deduplicated union of :func:`cases_for_figure` over ``names``."""
+    merged: List[CaseSpec] = []
+    for name in names:
+        merged.extend(cases_for_figure(name, context))
+    return list(dict.fromkeys(merged))
+
+
+def warm_figures(
+    names: Sequence[str], context: ExperimentContext, jobs: Optional[int] = None
+) -> int:
+    """Fan the named figures' cases out over ``jobs`` workers (default
+    ``REPRO_JOBS``) into the disk cache, for the tables to replay as
+    cache hits; returns cases warmed (none with fewer than two workers).
+    """
+    if jobs is None:
+        jobs = jobs_from_env()
+    if jobs <= 1:
+        return 0
+    return warm_cases(cases_for_figures(names, context), context, jobs=jobs)

@@ -6,10 +6,10 @@ report is dozens of independent (scene, policy, VTQ) cases and the
 simulator is CPU-bound pure Python, so a sweep leaves every core but one
 idle.  This module adds the missing layer:
 
-* :class:`CaseSpec` names one case; :func:`cases_for_figure` enumerates
-  the cases each paper figure will request (a mirror of the figure
-  loops — an out-of-date entry degrades to a serial computation, never a
-  wrong result).
+* :class:`CaseSpec` names one case.  Each paper figure declares its
+  cases once, as :class:`CaseSpec` rows next to its table
+  (:func:`repro.experiments.figures.cases_for_figure` flattens them), so
+  a warmed sweep holds exactly the cases the figure replays.
 * :func:`run_cases` executes a case list across worker processes
   (``REPRO_JOBS`` workers, default ``os.cpu_count()``), returning results
   in input order.  Workers run :func:`run_case_quarantined`, so a failing
@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import VTQConfig
@@ -362,85 +362,3 @@ def warm_cases(
     warmed = sum(1 for metrics, _failure in results if metrics is not None)
     logger.info("warmed %d/%d cases into the disk cache", warmed, len(cases))
     return warmed
-
-
-# ---------------------------------------------------------------------------
-# figure case enumeration (mirrors the loops in repro.experiments.figures)
-# ---------------------------------------------------------------------------
-
-
-def cases_for_figure(name: str, context: ExperimentContext) -> List[CaseSpec]:
-    """The cases figure ``name`` will request, in a deterministic order.
-
-    Mirrors the per-figure loops.  The contract is safe-by-construction:
-    enumerating too few (or stale) cases only means the figure computes
-    the difference serially on replay; results are identical either way.
-    """
-    from repro.experiments.figures import vtq_default
-
-    scenes = context.scenes()
-    vtq = vtq_default(context)
-    specs: List[CaseSpec] = []
-
-    def base(scene):
-        specs.append(CaseSpec(scene, "baseline"))
-
-    if name == "fig1":
-        for scene in scenes:
-            base(scene)
-    elif name == "fig10":
-        for scene in scenes:
-            base(scene)
-            specs.append(CaseSpec(scene, "prefetch"))
-            specs.append(CaseSpec(scene, "vtq", vtq))
-    elif name == "gaussian":
-        from repro.scenes.gaussians import gaussian_scene_names, is_gaussian_scene
-
-        gscenes = [s for s in scenes if is_gaussian_scene(s)]
-        if not gscenes:
-            gscenes = gaussian_scene_names()
-        for scene in gscenes:
-            base(scene)
-            specs.append(CaseSpec(scene, "prefetch"))
-            specs.append(CaseSpec(scene, "vtq", vtq))
-    elif name == "fig11":
-        scene = "LANDS" if "LANDS" in scenes else scenes[-1]
-        base(scene)
-        specs.append(CaseSpec(scene, "vtq", vtq.naive()))
-    elif name == "fig12":
-        for scene in scenes:
-            base(scene)
-            specs.append(CaseSpec(scene, "vtq", vtq.naive()))
-            for t in (32, 64, 128):
-                cfg = replace(vtq, queue_threshold=t, repack_enabled=False)
-                specs.append(CaseSpec(scene, "vtq", cfg))
-    elif name == "fig13":
-        for scene in scenes:
-            base(scene)
-            specs.append(CaseSpec(scene, "vtq", replace(vtq, repack_enabled=False)))
-            for t in (8, 16, 22):
-                specs.append(CaseSpec(scene, "vtq", replace(vtq, repack_threshold=t)))
-    elif name in ("fig14", "fig15", "sec65"):
-        for scene in scenes:
-            specs.append(CaseSpec(scene, "vtq", vtq))
-    elif name == "fig16":
-        ideal = replace(vtq, virtualization_overheads=False)
-        for scene in scenes:
-            specs.append(CaseSpec(scene, "vtq", vtq))
-            specs.append(CaseSpec(scene, "vtq", ideal))
-    elif name == "fig17":
-        for scene in scenes:
-            base(scene)
-            specs.append(CaseSpec(scene, "vtq", vtq))
-    # table1/table2/fig5 run no simulator cases.
-    return specs
-
-
-def cases_for_figures(
-    names: Sequence[str], context: ExperimentContext
-) -> List[CaseSpec]:
-    """Deduplicated union of :func:`cases_for_figure` over ``names``."""
-    merged: List[CaseSpec] = []
-    for name in names:
-        merged.extend(cases_for_figure(name, context))
-    return list(dict.fromkeys(merged))

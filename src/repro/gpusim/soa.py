@@ -231,19 +231,7 @@ def build_plan(scene, bvh, setup, seed: int = 0) -> RenderPlan:
     pixels = width * height
     spp = max(1, setup.samples_per_pixel)
     shading = ShadingEngine(scene, bvh, max_bounces=setup.max_bounces, seed=seed)
-
-    # Sample-major slots, mirroring render_scene's path construction
-    # exactly (same camera calls, same jitter seeding).
-    paths = []
-    for sample in range(spp):
-        jitter = sample if spp > 1 else None
-        primaries = scene.camera.primary_rays(width, height, jitter_seed=jitter)
-        paths.extend(
-            shading.make_primary(
-                p, primaries.origins[p], primaries.directions[p], sample=sample
-            )
-            for p in range(pixels)
-        )
+    paths = shading.primary_paths(width, height, spp)
 
     traces: Dict[Tuple[int, int], Trace] = {}
     generation = [

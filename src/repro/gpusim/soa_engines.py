@@ -796,3 +796,31 @@ class SoAVTQRTUnit(VTQRTUnit):
                 "final warp", "final_ray_stationary", phase_start, self.cycle,
                 {"initial_rays": len(rays)},
             )
+
+
+#: The hardware policies: name -> (scalar RT unit, its SoA plan-replay
+#: subclass).  Every policy driver builds its units through
+#: :func:`make_rt_unit`, so a new policy is one row here.
+RT_UNITS = {
+    "baseline": (BaselineRTUnit, SoABaselineRTUnit),
+    "prefetch": (PrefetchRTUnit, SoAPrefetchRTUnit),
+    "vtq": (VTQRTUnit, SoAVTQRTUnit),
+}
+
+
+def make_rt_unit(
+    policy, bvh, config, mem, stats, vtq=None, cycle_budget=None, replay=False
+):
+    """One SM's RT unit for ``policy``: the scalar unit, or with
+    ``replay`` its SoA subclass (whose rays carry :class:`ReplayState`).
+
+    ``vtq`` is the :class:`~repro.core.config.VTQConfig` the VTQ units
+    take; the other units ignore it.  An unknown policy raises
+    ``ValueError``.
+    """
+    if policy not in RT_UNITS:
+        raise ValueError(f"unknown policy {policy!r}")
+    unit = RT_UNITS[policy][1 if replay else 0]
+    if issubclass(unit, VTQRTUnit):
+        return unit(bvh, config, vtq, mem, stats, cycle_budget=cycle_budget)
+    return unit(bvh, config, mem, stats, cycle_budget=cycle_budget)

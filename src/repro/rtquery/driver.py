@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from repro.baselines.prefetch import PrefetchRTUnit
 from repro.core.config import VTQConfig
-from repro.core.rt_unit_vtq import VTQRTUnit
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.memory import MemorySystem, make_shared_l2
-from repro.gpusim.rt_unit import BaselineRTUnit
+from repro.gpusim.soa_engines import make_rt_unit
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 
@@ -55,15 +53,7 @@ def time_queries(
     mem = MemorySystem(config, stats, make_shared_l2(config))
     if vtq is None:
         vtq = VTQConfig().scaled_to(min(config.max_virtual_rays_per_sm, num_queries))
-
-    if policy == "baseline":
-        engine = BaselineRTUnit(bvh, config, mem, stats)
-    elif policy == "prefetch":
-        engine = PrefetchRTUnit(bvh, config, mem, stats)
-    elif policy == "vtq":
-        engine = VTQRTUnit(bvh, config, vtq, mem, stats)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    engine = make_rt_unit(policy, bvh, config, mem, stats, vtq=vtq)
 
     states = [state_factory(i) for i in range(num_queries)]
     rays = [SimRay(i, i, i // config.cta_threads, 0, states[i])
@@ -73,9 +63,6 @@ def time_queries(
             TraceWarp(rays[start : start + config.warp_size],
                       cta_id=start // config.cta_threads)
         )
-
-    if isinstance(engine, VTQRTUnit):
-        cycles = engine.run(lambda ray, cycle: None)
-    else:
-        cycles = engine.run()
+    # Each query is traced once: completions start no follow-up work.
+    cycles = engine.run(lambda done, cycle: None)
     return QueryTimingResult(policy=policy, cycles=cycles, stats=stats, states=states)

@@ -10,7 +10,7 @@ either produces the next bounce's ray or ends the path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +70,29 @@ class ShadingEngine:
             direction=np.asarray(direction, dtype=np.float64),
             sample=sample,
         )
+
+    def primary_paths(self, width: int, height: int, spp: int = 1) -> List[PathState]:
+        """Every path slot of a ``width x height`` render at ``spp`` samples.
+
+        Slots run sample-major: all of sample 0's pixels, then sample 1's,
+        and so on — consecutive slots stay screen-coherent within a
+        sample, which is how a GPU would dispatch multi-spp raygen CTAs
+        too.  Camera rays are jittered by ``jitter_seed=sample`` only when
+        ``spp > 1``.  The scalar render, the SoA plan builder and the
+        analytical model all start from this list, so their slots agree.
+        """
+        camera = self.scene.camera
+        paths: List[PathState] = []
+        for sample in range(spp):
+            jitter = sample if spp > 1 else None
+            primaries = camera.primary_rays(width, height, jitter_seed=jitter)
+            paths.extend(
+                self.make_primary(
+                    p, primaries.origins[p], primaries.directions[p], sample=sample
+                )
+                for p in range(width * height)
+            )
+        return paths
 
     def begin_traversal(self, path: PathState) -> RayTraversalState:
         """A fresh traversal state for the path's current ray."""

@@ -32,26 +32,16 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import faults
-from repro.baselines.prefetch import PrefetchRTUnit
 from repro.errors import TraceError
 from repro.core.config import VTQConfig
-from repro.core.rt_unit_vtq import VTQRTUnit
-from repro.core.virtualization import CTATracker, cta_state_bytes
+from repro.core.virtualization import CTAStateCost, CTATracker
 from repro.gpusim.config import GPUConfig, ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
-from repro.gpusim.rt_unit import BaselineRTUnit
 from repro.gpusim.soa import get_plan, soa_engine_enabled
-from repro.gpusim.soa_engines import (
-    ReplayState,
-    SoABaselineRTUnit,
-    SoAPrefetchRTUnit,
-    SoAVTQRTUnit,
-)
+from repro.gpusim.soa_engines import ReplayState, make_rt_unit
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
-from repro.tracing.path_tracer import PathState, ShadingEngine
-
-POLICIES = ("baseline", "prefetch", "sorted", "vtq")
+from repro.tracing.path_tracer import ShadingEngine
 
 
 @dataclass
@@ -117,35 +107,24 @@ def render_scene(
     # pass per scene, shared across policies and configs) through pure
     # timing loops.  Fall back to the scalar engines when it cannot
     # reproduce the scalar path exactly: the memory-trace recorder hooks
-    # into warp internals the replay does not execute, and the sorted
-    # policy re-forms warps from live ray geometry mid-render.
+    # into warp internals the replay does not execute, and a policy with
+    # no plan-replay driver (sorted re-forms warps from live ray geometry
+    # mid-render) reports ``policy-<name>``.
+    scalar_driver, replay_driver = _DRIVERS[policy]
     fallback_reason: Optional[str] = None
     if not soa_engine_enabled():
         fallback_reason = "disabled"
     elif trace_recorder is not None:
         fallback_reason = "trace-recorder-attached"
-    elif policy == "sorted":
-        fallback_reason = "policy-sorted"
+    elif replay_driver is None:
+        fallback_reason = f"policy-{policy}"
     plans = None
     if fallback_reason is None:
         plans = get_plan(scene, bvh, setup, seed)
 
     if plans is None:
         shading = ShadingEngine(scene, bvh, max_bounces=setup.max_bounces, seed=seed)
-        # Sample-major path slots: all of sample 0's pixels, then sample
-        # 1's, and so on — consecutive slots stay screen-coherent within a
-        # sample, which is how a GPU would dispatch multi-spp raygen CTAs
-        # too.
-        paths: List[PathState] = []
-        for sample in range(spp):
-            jitter = sample if spp > 1 else None
-            primaries = scene.camera.primary_rays(width, height, jitter_seed=jitter)
-            paths.extend(
-                shading.make_primary(
-                    p, primaries.origins[p], primaries.directions[p], sample=sample
-                )
-                for p in range(pixels)
-            )
+        paths = shading.primary_paths(width, height, spp)
     else:
         # Plan replay never shades or touches path state; the functional
         # results live in the plan.
@@ -159,14 +138,7 @@ def render_scene(
     if vtq_config is None:
         vtq_config = VTQConfig().scaled_to(config.max_virtual_rays_per_sm)
 
-    if plans is not None:
-        driver_cls = _SoAVTQDriver if policy == "vtq" else _SoAWarpDriver
-    elif policy == "vtq":
-        driver_cls = _VTQDriver
-    elif policy == "sorted":
-        driver_cls = _SortedDriver
-    else:
-        driver_cls = _WarpDriver
+    driver_cls = scalar_driver if plans is None else replay_driver
     per_sm_cycles: List[float] = []
     next_ray_id = [0]
 
@@ -324,6 +296,15 @@ class _DriverBase:
             out.append((cta_id, warps))
         return out
 
+    def _make_engine(self, policy: Optional[str] = None):
+        """This SM's RT unit for ``policy`` (default: the render's) — the
+        scalar unit, or its SoA subclass when replaying a plan."""
+        return make_rt_unit(
+            policy or self.policy, self.bvh, self.config, self.mem, self.stats,
+            vtq=self.vtq_config, cycle_budget=self.cycle_budget,
+            replay=self.plans is not None,
+        )
+
     def _shade_ray(self, ray: SimRay) -> Optional[SimRay]:
         """Shade a completed traversal; returns the next bounce's ray or None."""
         path = self.paths[ray.pixel]
@@ -343,17 +324,6 @@ class _WarpDriver(_DriverBase):
     the same warp — dead lanes stay dead, which is the baseline's SIMT
     inefficiency on secondary bounces.
     """
-
-    def _make_engine(self):
-        if self.policy == "prefetch":
-            return PrefetchRTUnit(
-                self.bvh, self.config, self.mem, self.stats,
-                cycle_budget=self.cycle_budget,
-            )
-        return BaselineRTUnit(
-            self.bvh, self.config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
 
     def run(self) -> float:
         config = self.config
@@ -395,13 +365,9 @@ class _SortedDriver(_DriverBase):
         import numpy as np
 
         from repro.geometry.morton import ray_sort_keys
-        from repro.gpusim.rt_unit import BaselineRTUnit
 
         config = self.config
-        engine = BaselineRTUnit(
-            self.bvh, config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
+        engine = self._make_engine("baseline")
         engine.timeline = self.timeline
         bounds = self.scene.mesh.bounds()
         next_bounce: List[SimRay] = []
@@ -446,60 +412,25 @@ class _VTQDriver(_DriverBase):
     next bounce's rays and suspends again.
     """
 
-    def _make_engine(self):
-        return VTQRTUnit(
-            self.bvh, self.config, self.vtq_config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
-
     def run(self) -> float:
         config = self.config
-        vtq = self.vtq_config
         engine = self._make_engine()
         engine.timeline = self.timeline
         tracker = CTATracker()
-        state_bytes = cta_state_bytes(config)
-
-        # Streaming a CTA's state occupies the memory path the RT unit
-        # shares; the line-transfer portion of each save/restore shows up
-        # as RT-unit timeline occupancy (the paper's ~10% overhead is
-        # "predominantly from the increased memory accesses to save and
-        # load CTA states").
-        state_lines = (state_bytes + config.line_bytes - 1) // config.line_bytes
-        bandwidth_occupancy = float(config.dram_line_transfer * state_lines)
-
-        def charge_save() -> None:
-            if vtq.virtualization_overheads:
-                recorder = self.mem.recorder
-                if recorder is not None:
-                    recorder.cta_save()
-                self.mem.cta_state_transfer(state_bytes)
-                engine.cycle += bandwidth_occupancy
-            self.stats.cta_saves += 1
-
-        def resume_latency() -> float:
-            self.stats.cta_restores += 1
-            if not vtq.virtualization_overheads:
-                return 0.0
-            recorder = self.mem.recorder
-            if recorder is not None:
-                recorder.cta_restore()
-            restore = self.mem.cta_state_transfer(state_bytes)
-            engine.cycle += bandwidth_occupancy
-            return restore + config.cta_resume_schedule_cycles
+        cta_state = CTAStateCost(engine)
 
         def on_ray_complete(ray: SimRay, cycle: float) -> None:
             done = tracker.ray_done(ray.cta_id, ray.bounce, ray)
             if done is None:
                 return
             # CTA ready: restore state, shade every lane, issue next bounce.
-            latency = resume_latency()
+            latency = cta_state.restore()
             survivors = [nxt for nxt in (self._shade_ray(r) for r in done) if nxt]
             if not survivors:
                 return
             bounce = survivors[0].bounce
             tracker.suspend(done[0].cta_id, bounce, len(survivors))
-            charge_save()
+            cta_state.save()
             ready = cycle + latency + config.shade_cycles_per_warp
             for w_start in range(0, len(survivors), config.warp_size):
                 engine.submit(
@@ -513,7 +444,7 @@ class _VTQDriver(_DriverBase):
         for cta_id, warps in self._primary_cta_warps():
             total_rays = sum(len(w.rays) for w in warps)
             tracker.suspend(cta_id, 0, total_rays)
-            charge_save()
+            cta_state.save()
             for warp in warps:
                 engine.submit(warp)
         return engine.run(on_ray_complete)
@@ -548,23 +479,18 @@ class _SoAPlanMixin:
 class _SoAWarpDriver(_SoAPlanMixin, _WarpDriver):
     """Plan replay through the SoA baseline/prefetch units."""
 
-    def _make_engine(self):
-        if self.policy == "prefetch":
-            return SoAPrefetchRTUnit(
-                self.bvh, self.config, self.mem, self.stats,
-                cycle_budget=self.cycle_budget,
-            )
-        return SoABaselineRTUnit(
-            self.bvh, self.config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
-
 
 class _SoAVTQDriver(_SoAPlanMixin, _VTQDriver):
     """Plan replay through the SoA VTQ unit."""
 
-    def _make_engine(self):
-        return SoAVTQRTUnit(
-            self.bvh, self.config, self.vtq_config, self.mem, self.stats,
-            cycle_budget=self.cycle_budget,
-        )
+
+#: The render policies: name -> (scalar driver, plan-replay driver, or
+#: None when the policy cannot replay a plan).  The RT unit each driver
+#: runs comes from :data:`repro.gpusim.soa_engines.RT_UNITS`.
+_DRIVERS = {
+    "baseline": (_WarpDriver, _SoAWarpDriver),
+    "prefetch": (_WarpDriver, _SoAWarpDriver),
+    "sorted": (_SortedDriver, None),
+    "vtq": (_VTQDriver, _SoAVTQDriver),
+}
+POLICIES = tuple(_DRIVERS)

@@ -24,14 +24,12 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 import numpy as np
 
-from repro.baselines.prefetch import PrefetchRTUnit
 from repro.bvh.traversal import TraversalOrder, init_traversal
 from repro.core.config import VTQConfig
-from repro.core.rt_unit_vtq import VTQRTUnit
-from repro.core.virtualization import CTATracker, cta_state_bytes
+from repro.core.virtualization import CTAStateCost, CTATracker
 from repro.gpusim.config import GPUConfig, scaled_config
 from repro.gpusim.memory import MemorySystem, make_shared_l2
-from repro.gpusim.rt_unit import BaselineRTUnit
+from repro.gpusim.soa_engines import RT_UNITS, make_rt_unit
 from repro.gpusim.stats import SimStats
 from repro.gpusim.warp import SimRay, TraceWarp
 from repro.vkrt.types import HitInfo, LaunchResult, TraceCall
@@ -100,7 +98,7 @@ class RayTracingPipeline:
         """
         if width < 1 or height < 1:
             raise ValueError("launch grid must be at least 1x1")
-        if policy not in ("baseline", "prefetch", "vtq"):
+        if policy not in RT_UNITS:
             raise ValueError(f"unknown policy {policy!r}")
         config = config or scaled_config()
         mesh = mesh if mesh is not None else bvh.mesh
@@ -207,10 +205,7 @@ class RayTracingPipeline:
                 bvh, threads, config, vtq, mem, stats, normals, material_ids
             )
 
-        if policy == "prefetch":
-            engine = PrefetchRTUnit(bvh, config, mem, stats)
-        else:
-            engine = BaselineRTUnit(bvh, config, mem, stats)
+        engine = make_rt_unit(policy, bvh, config, mem, stats)
 
         calls: Dict[int, TraceCall] = {}
         ray_seq = [0]
@@ -256,11 +251,9 @@ class RayTracingPipeline:
             vtq = VTQConfig().scaled_to(
                 min(config.max_virtual_rays_per_sm, max(1, len(threads)))
             )
-        engine = VTQRTUnit(bvh, config, vtq, mem, stats)
+        engine = make_rt_unit("vtq", bvh, config, mem, stats, vtq=vtq)
         tracker = CTATracker()
-        state_bytes = cta_state_bytes(config)
-        state_lines = (state_bytes + config.line_bytes - 1) // config.line_bytes
-        occupancy = float(config.dram_line_transfer * state_lines)
+        cta_state = CTAStateCost(engine)
 
         calls: Dict[int, TraceCall] = {}
         by_ray: Dict[int, _Thread] = {}
@@ -273,10 +266,7 @@ class RayTracingPipeline:
                 return
             cta = batch[0].launch_id // config.cta_threads
             tracker.suspend(cta, bounce, len(batch))
-            if vtq.virtualization_overheads:
-                mem.cta_state_transfer(state_bytes)
-                engine.cycle += occupancy
-            stats.cta_saves += 1
+            cta_state.save()
             for start in range(0, len(batch), config.warp_size):
                 group = batch[start : start + config.warp_size]
                 rays = []
@@ -293,14 +283,7 @@ class RayTracingPipeline:
             done = tracker.ray_done(ray.cta_id, ray.bounce, ray)
             if done is None:
                 return
-            stats.cta_restores += 1
-            latency = 0.0
-            if vtq.virtualization_overheads:
-                latency = (
-                    mem.cta_state_transfer(state_bytes)
-                    + config.cta_resume_schedule_cycles
-                )
-                engine.cycle += occupancy
+            latency = cta_state.restore()
             resumed = []
             for finished_ray in done:
                 thread = by_ray.pop(finished_ray.ray_id)

@@ -105,6 +105,25 @@ class TestCLI:
         img = read_pnm(out)
         assert img.ndim == 3
 
+    def test_render_takes_every_policy(self, tmp_path, capsys, monkeypatch):
+        """`render --policy` offers every render policy, sorted included;
+        `--record-trace` still refuses sorted with exit 2."""
+        monkeypatch.setattr(
+            "repro.cli.default_setup",
+            lambda fast=False: __import__(
+                "repro.gpusim.config", fromlist=["default_setup"]
+            ).default_setup(fast=True),
+        )
+        out = tmp_path / "bunny_sorted.ppm"
+        assert main(["render", "BUNNY", "--policy", "sorted", "-o", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("sorted: ")
+        assert read_pnm(out).ndim == 3
+        trace = tmp_path / "bunny_sorted.memtrace"
+        assert main(["render", "BUNNY", "--policy", "sorted",
+                     "--record-trace", str(trace), "-o", str(out)]) == 2
+        assert "not 'sorted'" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_compare_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "repro.cli.default_setup",

@@ -14,11 +14,10 @@ import os
 import pytest
 
 import repro.experiments.runner as runner
-from repro.experiments import default_context
+from repro.experiments import cases_for_figure, cases_for_figures, default_context
+from repro.experiments.figures import figure_registry
 from repro.experiments.parallel import (
     CaseSpec,
-    cases_for_figure,
-    cases_for_figures,
     jobs_from_env,
     run_cases,
     warm_cases,
@@ -99,6 +98,38 @@ class TestCaseEnumeration:
         baselines = [s for s in merged if s.policy == "baseline"]
         assert len(baselines) == len(ctx.scenes())
         assert len(merged) == len(set(merged))
+
+
+@pytest.fixture(scope="module")
+def shared_cache_ctx(tmp_path_factory):
+    """The fast context over one disk cache kept for the whole module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        runner.clear_failures()
+        yield default_context(fast=True)
+        runner.clear_failures()
+
+
+class TestFigureCaseFidelity:
+    """A figure's table runs exactly the cases ``cases_for_figure`` lists
+    for it, in the same order — so warming a sweep never leaves a case
+    for the serial replay and never computes one the figure skips."""
+
+    @pytest.mark.parametrize("name", sorted(figure_registry()))
+    def test_table_runs_its_case_list(self, name, shared_cache_ctx, monkeypatch):
+        import repro.experiments.figures as figures
+
+        calls = []
+        real_run_case = figures.run_case
+
+        def recording_run_case(scene, policy, context, vtq=None, gpu_overrides=None):
+            calls.append(CaseSpec(scene, policy, vtq))
+            return real_run_case(scene, policy, context, vtq, gpu_overrides)
+
+        monkeypatch.setattr(figures, "run_case", recording_run_case)
+        figure_registry()[name].table(shared_cache_ctx)
+        assert calls == cases_for_figure(name, shared_cache_ctx)
+        assert runner.failures() == []
 
 
 class TestRunCases:

@@ -21,12 +21,12 @@ from repro.experiments.runner import ExperimentContext, scene_and_bvh
 from repro.faults import FaultSpec
 from repro.core.config import VTQConfig
 from repro.gpusim.soa import get_plan, set_soa_engine, soa_engine_enabled
+from repro.gpusim.soa_engines import RT_UNITS
 from repro.memtrace import replay_trace
 from repro.memtrace.store import record_trace
 from repro.tracing import render_scene
 
 SCENES = ("BUNNY", "SPNZA")
-POLICIES = ("baseline", "prefetch", "vtq")
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,14 @@ def _assert_identical(scalar, soa):
 
 
 class TestBitExactness:
+    def test_soa_units_subclass_their_scalar_units(self):
+        """Each policy row's SoA unit is its scalar unit with the warp
+        loops replaced, so the scalar unit is the row's oracle."""
+        for policy, (scalar, soa) in RT_UNITS.items():
+            assert issubclass(soa, scalar), policy
+
     @pytest.mark.parametrize("scene_name", SCENES)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", RT_UNITS)
     def test_stats_image_cycles(self, ctx, scene_name, policy):
         scene, bvh = scene_and_bvh(scene_name, ctx.setup)
         scalar, soa = _render_both(scene, bvh, ctx.setup, policy)
@@ -99,7 +105,7 @@ class TestBitExactness:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", RT_UNITS)
     def test_cycle_budget_partial_stats(self, ctx, policy):
         """BudgetExceeded fires at the same cycle with the same partials."""
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
@@ -114,7 +120,7 @@ class TestErrorPaths:
             outcomes.append((str(err), err.limit, err.observed, err.partial))
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", RT_UNITS)
     def test_sanitizer_passes_soa_renders(self, ctx, policy):
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
         result = render_scene(scene, bvh, ctx.setup, policy=policy, sanitize=True)
@@ -136,13 +142,12 @@ class TestErrorPaths:
             messages.append(str(exc_info.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", RT_UNITS)
     def test_sim_stall_fault_hits_soa_engines(self, ctx, policy):
         """SIM_STALL specs match the SoA classes (names contain the scalar
         names), so chaos runs behave the same under either engine."""
         scene, bvh = scene_and_bvh("BUNNY", ctx.setup)
-        match = {"baseline": "BaselineRTUnit", "prefetch": "PrefetchRTUnit",
-                 "vtq": "VTQRTUnit"}[policy]
+        match = RT_UNITS[policy][0].__name__
         cycles = []
         for enabled in (False, True):
             set_soa_engine(enabled)
@@ -220,7 +225,7 @@ class TestSweepPathEngine:
         specs = [
             CaseSpec(scene_name, policy, gpu_overrides=overrides)
             for scene_name in ("BUNNY", "GSPL1")
-            for policy in POLICIES
+            for policy in RT_UNITS
             for overrides in (None, (("l2_bytes", 65536),),
                               (("line_bytes", 64),))
         ]
