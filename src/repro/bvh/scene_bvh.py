@@ -37,21 +37,21 @@ class BatchTables:
     """Padded numpy mirrors of the traversal tables for the batch kernels.
 
     ``node_boxes[node]`` is ``(W, 6)`` child bounds (same row order as
-    ``node_children[node]``, zero-padded past the child count) and
-    ``leaf_v0/e1/e2[leaf]`` are ``(T, 3)`` triangle data (zero-padded —
-    degenerate, so the triangle kernel rejects padding rows by itself).
-    Fixed-width padding lets a wave's worth of nodes or leaves be gathered
-    with one fancy index instead of per-step concatenation.
+    ``node_children[node]``, zero-padded past the child count).
+    :meth:`leaves` returns the leaf mirrors, built on first use because
+    all-hits passes never intersect leaves in batch: ``(v0, e1, e2)``,
+    each ``(L, T, 3)`` triangle data (zero-padded — degenerate, so the
+    triangle kernel rejects padding rows by itself).  Fixed-width padding
+    lets a wave's worth of nodes or leaves be gathered with one fancy
+    index instead of per-step concatenation.
 
-    On a gaussian BVH the leaf mirrors are ``leaf_gc`` (centers,
-    ``(T, 3)``), ``leaf_gm`` (precision upper-triangles, ``(T, 6)``) and
-    ``leaf_gq`` (hit thresholds, ``(T,)``) instead; padding rows carry a
-    zero matrix and ``qmax = -1`` — doubly self-rejecting in the
-    gaussian kernel.
+    On a gaussian BVH the leaf mirrors are ``(centers, precisions,
+    thresholds)`` instead — ``(L, T, 3)``, ``(L, T, 6)`` upper triangles
+    and ``(L, T)`` — where padding rows carry a zero matrix and
+    ``qmax = -1``, doubly self-rejecting in the gaussian kernel.
     """
 
-    __slots__ = ("node_boxes", "leaf_v0", "leaf_e1", "leaf_e2",
-                 "leaf_gc", "leaf_gm", "leaf_gq")
+    __slots__ = ("node_boxes", "_leaf_tris", "_prim_kind", "_leaves")
 
     def __init__(self, node_children, leaf_tris, prim_kind="triangle"):
         width = max((len(c) for c in node_children), default=1)
@@ -59,28 +59,39 @@ class BatchTables:
         for node, children in enumerate(node_children):
             for k, child in enumerate(children):
                 self.node_boxes[node, k] = child[4]
-        depth = max((len(t) for t in leaf_tris), default=1)
-        if prim_kind == "gaussian":
-            self.leaf_v0 = self.leaf_e1 = self.leaf_e2 = None
-            self.leaf_gc = np.zeros((len(leaf_tris), max(depth, 1), 3))
-            self.leaf_gm = np.zeros((len(leaf_tris), max(depth, 1), 6))
-            self.leaf_gq = np.full((len(leaf_tris), max(depth, 1)), -1.0)
-            for leaf, prims in enumerate(leaf_tris):
-                for k, row in enumerate(prims):
-                    self.leaf_gc[leaf, k] = row[0:3]
-                    self.leaf_gm[leaf, k] = row[3:9]
-                    self.leaf_gq[leaf, k] = row[9]
-        else:
-            self.leaf_gc = self.leaf_gm = self.leaf_gq = None
-            shape = (len(leaf_tris), max(depth, 1), 3)
-            self.leaf_v0 = np.zeros(shape)
-            self.leaf_e1 = np.zeros(shape)
-            self.leaf_e2 = np.zeros(shape)
-            for leaf, tris in enumerate(leaf_tris):
-                for k, (v0, e1, e2, _prim) in enumerate(tris):
-                    self.leaf_v0[leaf, k] = v0
-                    self.leaf_e1[leaf, k] = e1
-                    self.leaf_e2[leaf, k] = e2
+        self._leaf_tris = leaf_tris
+        self._prim_kind = prim_kind
+        self._leaves = None
+
+    def leaves(self) -> Tuple[np.ndarray, ...]:
+        """The three leaf mirrors (see the class docstring)."""
+        if self._leaves is None:
+            self._leaves = _leaf_mirrors(self._leaf_tris, self._prim_kind)
+        return self._leaves
+
+
+def _leaf_mirrors(leaf_tris, prim_kind) -> Tuple[np.ndarray, ...]:
+    depth = max(max((len(t) for t in leaf_tris), default=1), 1)
+    if prim_kind == "gaussian":
+        centers = np.zeros((len(leaf_tris), depth, 3))
+        precisions = np.zeros((len(leaf_tris), depth, 6))
+        thresholds = np.full((len(leaf_tris), depth), -1.0)
+        for leaf, prims in enumerate(leaf_tris):
+            for k, row in enumerate(prims):
+                centers[leaf, k] = row[0:3]
+                precisions[leaf, k] = row[3:9]
+                thresholds[leaf, k] = row[9]
+        return centers, precisions, thresholds
+    shape = (len(leaf_tris), depth, 3)
+    v0 = np.zeros(shape)
+    e1 = np.zeros(shape)
+    e2 = np.zeros(shape)
+    for leaf, tris in enumerate(leaf_tris):
+        for k, (a, b, c, _prim) in enumerate(tris):
+            v0[leaf, k] = a
+            e1[leaf, k] = b
+            e2[leaf, k] = c
+    return v0, e1, e2
 
 
 @dataclass
@@ -133,8 +144,9 @@ class SceneBVH:
     def batch_tables(self) -> BatchTables:
         """The padded numpy mirror of the traversal tables.
 
-        Built once on first use from the exact float values the scalar
-        tables hold, so the batch kernels see bit-identical inputs.
+        Built on first use from the exact float values the scalar tables
+        hold, so the batch kernels see bit-identical inputs, and kept
+        until the SoA plan builder drops it at the end of a build.
         """
         if self.batch is None:
             self.batch = BatchTables(

@@ -405,46 +405,46 @@ def expand_nodes_batch(bvh, groups: List[Tuple[RayTraversalState, int]]) -> None
 
 def intersect_leaves_batch(
     bvh, groups: List[Tuple[RayTraversalState, int]]
-) -> List[int]:
-    """Intersect many (ray, leaf) pairs through one vectorized MT test.
+) -> None:
+    """Intersect many (ray, leaf) pairs, closest-hit ones through one
+    vectorized MT (or gaussian) test.
 
-    Closest-hit only (states collecting all hits must take the scalar
-    path).  Returns the per-group triangle test counts; hit updates,
-    tie-breaking and counters match :func:`_intersect_leaf` bit for bit.
-    Small batches take the scalar loop (same results, less overhead).
+    The kernels keep only the closest hit, so pairs whose state collects
+    all hits take the scalar loop, as does a batch with fewer than
+    :data:`BATCH_MIN_LEAF_GROUPS` closest-hit pairs (same results, less
+    overhead).  Hit updates, tie-breaking and counters match
+    :func:`_intersect_leaf` bit for bit.
     """
-    if len(groups) < BATCH_MIN_LEAF_GROUPS:
-        counts = []
-        for state, leaf in groups:
+    closest = [group for group in groups if group[0].all_hits is None]
+    batched = len(closest) >= BATCH_MIN_LEAF_GROUPS
+    for state, leaf in groups:
+        if not batched or state.all_hits is not None:
             state.leaf_visits += 1
-            tests = _intersect_leaf(bvh, state, leaf)
-            state.triangle_tests += tests
-            counts.append(tests)
-        return counts
-    tables = bvh.batch_tables()
+            state.triangle_tests += _intersect_leaf(bvh, state, leaf)
+    if not batched:
+        return
     leaf_tris = bvh.leaf_tris
-    indices = [leaf for _, leaf in groups]
+    indices = [leaf for _, leaf in closest]
     rays = np.array(
-        [(s.ox, s.oy, s.oz, s.dx, s.dy, s.dz) for s, _ in groups]
+        [(s.ox, s.oy, s.oz, s.dx, s.dy, s.dz) for s, _ in closest]
     )
+    tables = bvh.batch_tables().leaves()
     if getattr(bvh, "prim_kind", "triangle") == "gaussian":
+        centers, precisions, thresholds = tables
         mask, t, _q = intersect_gaussian_batch(
             rays[:, 0:3], rays[:, 3:6],
-            tables.leaf_gc[indices], tables.leaf_gm[indices],
-            tables.leaf_gq[indices],
+            centers[indices], precisions[indices], thresholds[indices],
         )
         prim_col = -1
     else:
+        v0, e1, e2 = tables
         mask, t, _u, _v = intersect_tri_batch(
-            rays[:, 0:3], rays[:, 3:6],
-            tables.leaf_v0[indices], tables.leaf_e1[indices],
-            tables.leaf_e2[indices],
+            rays[:, 0:3], rays[:, 3:6], v0[indices], e1[indices], e2[indices],
         )
         prim_col = 3
     mask = mask.tolist()
     t = t.tolist()
-    counts = []
-    for g, (state, leaf) in enumerate(groups):
+    for g, (state, leaf) in enumerate(closest):
         tris = leaf_tris[leaf]
         t_hit = state.t_hit
         hit_prim = state.hit_prim
@@ -463,8 +463,6 @@ def intersect_leaves_batch(
         state.hit_prim = hit_prim
         state.leaf_visits += 1
         state.triangle_tests += len(tris)
-        counts.append(len(tris))
-    return counts
 
 
 def _intersect_leaf(bvh, state: RayTraversalState, leaf: int) -> int:

@@ -66,3 +66,15 @@ def ray_sort_keys(origins: np.ndarray, directions: np.ndarray, lo, hi) -> np.nda
     octants = direction_octant(directions)
     codes = morton_codes(origins, lo, hi)
     return (octants << np.uint64(30)) | codes
+
+
+def state_sort_keys(states, lo, hi) -> np.ndarray:
+    """:func:`ray_sort_keys` of traversal states, in list order.
+
+    ``states`` are ``RayTraversalState``-like objects (``ox .. oz`` and
+    ``dx .. dz``).  Each key depends on its own ray and the box alone, so
+    the keys of any subset of a list equal that subset of its keys.
+    """
+    origins = np.array([[s.ox, s.oy, s.oz] for s in states])
+    directions = np.array([[s.dx, s.dy, s.dz] for s in states])
+    return ray_sort_keys(origins, directions, lo, hi)

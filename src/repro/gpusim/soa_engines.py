@@ -48,13 +48,18 @@ from repro.gpusim.warp import TraceWarp, gaussian_leaf_cycles, step_latency
 
 
 class ReplayState:
-    """A ray's traversal state reconstructed from a :class:`Trace`.
+    """A ray's traversal state reconstructed from a
+    :class:`~repro.gpusim.soa.Trace`.
 
     Duck-types the slice of ``RayTraversalState`` the policy units read
     — ``finished() / has_current_work() / current_treelet /
     next_treelet() / enter_treelet() / current_stack`` — while the
     engines advance it with :meth:`consume` (ray-stationary pop) or
     :meth:`consume_tq` (treelet-stationary pop).
+
+    ``tr`` is the plan's :class:`~repro.gpusim.soa.TraceColumns` and
+    ``p`` / ``n`` index it directly: ``p`` runs from the trace's
+    ``start`` to its ``end`` (``n``).
 
     Invariants mirrored from the live state machine:
 
@@ -65,20 +70,22 @@ class ReplayState:
       pops cross silently, treelet-stationary pops park at each boundary
       (``consume_tq`` returns None until ``enter_treelet`` has walked
       the whole chain).
-    * Past the last visit (``p == n``) the ray drains ``tr.tail`` — the
+    * Past the last visit (``p == n``) the ray drains ``tail`` — the
       treelets the live retiring pop advanced through — one
       ``enter_treelet`` per treelet-phase requeue, and finishes when the
       tail is exhausted.
     """
 
-    __slots__ = ("tr", "p", "n", "ci", "chw", "tail_i", "done", "_ctre")
+    __slots__ = ("tr", "p", "n", "tail", "ci", "chw", "tail_i", "done", "_ctre")
 
-    def __init__(self, tr):
+    def __init__(self, trace):
+        tr = trace.columns
         self.tr = tr
-        self.p = 0
-        self.n = len(tr.isleaf)
+        self.p = trace.start
+        self.n = trace.end
+        self.tail = trace.tail
         self.ci = 0
-        self.chw = tr.curwork[0]
+        self.chw = tr.curwork[trace.start]
         self.tail_i = 0
         self.done = False
         self._ctre: Optional[int] = None
@@ -109,17 +116,15 @@ class ReplayState:
         return ((self.tr.top_item[self.p],),)
 
     def next_treelet(self) -> Optional[int]:
-        tr = self.tr
         p = self.p
         if p >= self.n:
-            tail = tr.tail
+            tail = self.tail
             ti = self.tail_i
             return tail[ti] if ti < len(tail) else None
-        chains = tr.chains
-        if chains is not None:
-            chain = chains.get(p)
-            if chain is not None and self.ci < len(chain):
-                return chain[self.ci]
+        tr = self.tr
+        chain = tr.chains[p]
+        if chain is not None and self.ci < len(chain):
+            return chain[self.ci]
         t = tr.next_tre[p]
         return None if t < 0 else t
 
@@ -150,10 +155,9 @@ class ReplayState:
         self._ctre = None
         p1 = p + 1
         self.p = p1
-        tr = self.tr
-        chw = tr.curwork[p1]
+        chw = self.tr.curwork[p1]
         self.chw = chw
-        if p1 == self.n and not chw and not tr.tail:
+        if p1 == self.n and not chw and not self.tail:
             self.done = True
         return p
 
@@ -163,27 +167,25 @@ class ReplayState:
         live in-treelet pop would fail at — an unentered chain position,
         or the tail."""
         p = self.p
-        tr = self.tr
         if p >= self.n:
             self.chw = False
-            if self.tail_i >= len(tr.tail):
+            if self.tail_i >= len(self.tail):
                 self.done = True
             return None
-        chains = tr.chains
-        if chains is not None:
-            chain = chains.get(p)
-            if chain is not None and self.ci < len(chain):
-                # The live pop culls the stale current entries (if any),
-                # finds the stack empty and parks at the chain boundary.
-                self.chw = False
-                return None
+        tr = self.tr
+        chain = tr.chains[p]
+        if chain is not None and self.ci < len(chain):
+            # The live pop culls the stale current entries (if any),
+            # finds the stack empty and parks at the chain boundary.
+            self.chw = False
+            return None
         self.ci = 0
         self._ctre = None
         p1 = p + 1
         self.p = p1
         chw = tr.curwork[p1]
         self.chw = chw
-        if p1 == self.n and not chw and not tr.tail:
+        if p1 == self.n and not chw and not self.tail:
             self.done = True
         return p
 
@@ -364,7 +366,7 @@ class SoAPrefetchRTUnit(PrefetchRTUnit):
                     tests += tr.tests[p]
                 else:
                     nodes += 1
-                if p1 == n and not chw and not tr.tail:
+                if p1 == n and not chw and not st.tail:
                     st.done = True
                 else:
                     nxt.append(ray)
@@ -471,7 +473,7 @@ class SoAVTQRTUnit(VTQRTUnit):
                 st.p = p1
                 chw = tr.curwork[p1]
                 st.chw = chw
-                if p1 == n and not chw and not tr.tail:
+                if p1 == n and not chw and not st.tail:
                     st.done = True
                 lane_lines.append(tr.lines[p])
                 if tr.isleaf[p]:
@@ -601,22 +603,20 @@ class SoAVTQRTUnit(VTQRTUnit):
                     n = st.n
                     if p >= n:
                         st.chw = False
-                        if st.tail_i >= len(tr.tail):
+                        if st.tail_i >= len(st.tail):
                             st.done = True
                         continue
-                    chains = tr.chains
-                    if chains is not None:
-                        chain = chains.get(p)
-                        if chain is not None and st.ci < len(chain):
-                            st.chw = False
-                            continue
+                    chain = tr.chains[p]
+                    if chain is not None and st.ci < len(chain):
+                        st.chw = False
+                        continue
                     st.ci = 0
                     st._ctre = None
                     p1 = p + 1
                     st.p = p1
                     chw = tr.curwork[p1]
                     st.chw = chw
-                    done = p1 == n and not chw and not tr.tail
+                    done = p1 == n and not chw and not st.tail
                     if done:
                         st.done = True
                     lane_lines.append(tr.lines[p])
@@ -728,7 +728,7 @@ class SoAVTQRTUnit(VTQRTUnit):
                 st.p = p1
                 chw = tr.curwork[p1]
                 st.chw = chw
-                if p1 == n and not chw and not tr.tail:
+                if p1 == n and not chw and not st.tail:
                     st.done = True
                 lane_lines.append(tr.lines[p])
                 if tr.isleaf[p]:

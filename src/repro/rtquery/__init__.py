@@ -3,7 +3,7 @@
 The paper closes by arguing that because workloads like RT-DBSCAN,
 RTIndeX and RTNN "transform their data into a BVH tree and the search
 query into a ray", virtualized treelet queues should accelerate them too.
-This package implements that claim end-to-end for two such workloads:
+This package implements that claim end-to-end for three such workloads:
 
 * :class:`RangeIndex` — RTIndeX-style database indexing: keys are
   embedded as triangle "fins" along a line, a range scan
@@ -16,9 +16,12 @@ This package implements that claim end-to-end for two such workloads:
   points become bounding octahedra, a query becomes a short any-hit
   segment, candidates are distance-filtered exactly.
 
-Both run their query rays through the unmodified timing engines
-(baseline, prefetch, VTQ), so the treelet-queue machinery is exercised by
-non-rendering traffic exactly as the paper anticipates.
+All three run their query rays through the unmodified timing engines
+(baseline, prefetch, VTQ) via :func:`time_queries`, so the treelet-queue
+machinery is exercised by non-rendering traffic exactly as the paper
+anticipates.  As with rendering, the functional traversal runs once and
+the SoA units replay its traces (``REPRO_SOA_ENGINE=0`` runs the scalar
+units on the live states instead; results are bit-identical).
 """
 
 from repro.rtquery.range_index import RangeIndex

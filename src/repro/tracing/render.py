@@ -22,6 +22,10 @@ Policies:
 
 The functional image is identical across policies (deterministic
 hash-based sampling; traversal is exact), which the test suite exploits.
+Every policy has two drivers (``_DRIVERS``): the scalar one, which
+shades live paths, and a plan-replay one, which replays the scene's
+:class:`~repro.gpusim.soa.RenderPlan` through the SoA units — the
+default, bit-identical to the scalar driver.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro import faults
 from repro.errors import TraceError
 from repro.core.config import VTQConfig
 from repro.core.virtualization import CTAStateCost, CTATracker
+from repro.geometry.morton import state_sort_keys
 from repro.gpusim.config import GPUConfig, ScaledSetup
 from repro.gpusim.memory import MemorySystem, make_shared_l2
 from repro.gpusim.soa import get_plan, soa_engine_enabled
@@ -105,19 +110,15 @@ def render_scene(
 
     # The SoA engine replays a precomputed render plan (one functional
     # pass per scene, shared across policies and configs) through pure
-    # timing loops.  Fall back to the scalar engines when it cannot
-    # reproduce the scalar path exactly: the memory-trace recorder hooks
-    # into warp internals the replay does not execute, and a policy with
-    # no plan-replay driver (sorted re-forms warps from live ray geometry
-    # mid-render) reports ``policy-<name>``.
+    # timing loops.  Fall back to the scalar engines when it is switched
+    # off, or when the memory-trace recorder is attached: the recorder
+    # hooks into warp internals the replay does not execute.
     scalar_driver, replay_driver = _DRIVERS[policy]
     fallback_reason: Optional[str] = None
     if not soa_engine_enabled():
         fallback_reason = "disabled"
     elif trace_recorder is not None:
         fallback_reason = "trace-recorder-attached"
-    elif replay_driver is None:
-        fallback_reason = f"policy-{policy}"
     plans = None
     if fallback_reason is None:
         plans = get_plan(scene, bvh, setup, seed)
@@ -361,15 +362,15 @@ class _SortedDriver(_DriverBase):
     itself").
     """
 
+    def _sort_keys(self, rays: List[SimRay]) -> np.ndarray:
+        """The sort keys of one bounce's secondary rays, in list order."""
+        bounds = self.scene.mesh.bounds()
+        return state_sort_keys([ray.state for ray in rays], bounds.lo, bounds.hi)
+
     def run(self) -> float:
-        import numpy as np
-
-        from repro.geometry.morton import ray_sort_keys
-
         config = self.config
         engine = self._make_engine("baseline")
         engine.timeline = self.timeline
-        bounds = self.scene.mesh.bounds()
         next_bounce: List[SimRay] = []
 
         def on_complete(warp: TraceWarp, cycle: float) -> None:
@@ -386,14 +387,7 @@ class _SortedDriver(_DriverBase):
         while next_bounce:
             rays = next_bounce[:]
             next_bounce.clear()
-            origins = np.array(
-                [[r.state.ox, r.state.oy, r.state.oz] for r in rays]
-            )
-            directions = np.array(
-                [[r.state.dx, r.state.dy, r.state.dz] for r in rays]
-            )
-            keys = ray_sort_keys(origins, directions, bounds.lo, bounds.hi)
-            order = np.argsort(keys, kind="stable")
+            order = np.argsort(self._sort_keys(rays), kind="stable")
             sort_cost = len(rays) * config.ray_sort_cycles_per_key
             ready = cycle + config.shade_cycles_per_warp + sort_cost
             for start in range(0, len(order), config.warp_size):
@@ -464,10 +458,10 @@ class _SoAPlanMixin:
         return self.plans.num_slots
 
     def _begin_ray_state(self, slot: int):
-        return ReplayState(self.plans.traces[(slot, 0)])
+        return ReplayState(self.plans.trace(slot, 0))
 
     def _shade_ray(self, ray: SimRay) -> Optional[SimRay]:
-        trace = self.plans.traces.get((ray.pixel, ray.bounce + 1))
+        trace = self.plans.trace(ray.pixel, ray.bounce + 1)
         if trace is None:
             return None
         return SimRay(
@@ -480,17 +474,30 @@ class _SoAWarpDriver(_SoAPlanMixin, _WarpDriver):
     """Plan replay through the SoA baseline/prefetch units."""
 
 
+class _SoASortedDriver(_SoAPlanMixin, _SortedDriver):
+    """Plan replay through the SoA baseline unit, ordered by the plan's
+    sort keys.
+
+    A bounce's rays all share one bounce number, and their keys are the
+    plan's at their slots — the scalar driver's keys, because a key
+    depends on its own ray only.
+    """
+
+    def _sort_keys(self, rays: List[SimRay]) -> np.ndarray:
+        return self.plans.sort_keys[rays[0].bounce][[ray.pixel for ray in rays]]
+
+
 class _SoAVTQDriver(_SoAPlanMixin, _VTQDriver):
     """Plan replay through the SoA VTQ unit."""
 
 
-#: The render policies: name -> (scalar driver, plan-replay driver, or
-#: None when the policy cannot replay a plan).  The RT unit each driver
-#: runs comes from :data:`repro.gpusim.soa_engines.RT_UNITS`.
+#: The render policies: name -> (scalar driver, plan-replay driver).  The
+#: RT unit each driver runs comes from
+#: :data:`repro.gpusim.soa_engines.RT_UNITS`.
 _DRIVERS = {
     "baseline": (_WarpDriver, _SoAWarpDriver),
     "prefetch": (_WarpDriver, _SoAWarpDriver),
-    "sorted": (_SortedDriver, None),
+    "sorted": (_SortedDriver, _SoASortedDriver),
     "vtq": (_VTQDriver, _SoAVTQDriver),
 }
 POLICIES = tuple(_DRIVERS)
